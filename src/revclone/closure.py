@@ -10,8 +10,9 @@ predicate.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from . import ops
@@ -143,18 +144,26 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
     """Breadth-first closure under {i_1, oplus, tau, zeta, compose_k},
     plus {delta, nabla} when requested, within the shape caps.
 
-    Deterministic: elements are kept in first-reached order, and each new
-    element is combined with all earlier ones in a fixed operation order.
+    Deterministic: elements are kept in first-reached order.  Each
+    unordered pair of elements (an element with itself included) is
+    combined once, by the first of the two to be dequeued after both were
+    reached; a dequeued element meets its partners in first-reached order,
+    with a fixed operation order per pair.  A composite whose shape
+    exceeds the caps sets ``capped`` without its table being built.
     """
     gen_set = GeneratorSet.of(generators, alphabet)
     alphabet = gen_set.alphabet
     seeds = [identity_map(alphabet, 1)]
     seeds.extend(gen_set.maps)
 
+    # elems is also the breadth-first queue: elems[i] is dequeued once
+    # every earlier element has been.
     elems: list[Map] = []
     seen: set[Map] = set()
-    depth: dict[Map, int] = {}
-    queue: deque[Map] = deque()
+    depths: list[int] = []  # depths[i] is the depth of elems[i]
+    # pairs_upto[i]: len(elems) when elems[i] was paired, so elems[i] has
+    # been combined with exactly the elements before that index.
+    pairs_upto: list[int] = []
     capped = False
     overflowed = False
 
@@ -172,35 +181,51 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
             overflowed = True
             return False
         seen.add(m)
-        depth[m] = d
+        depths.append(d)
         elems.append(m)
-        queue.append(m)
         return True
 
     for seed in seeds:
         admit(seed, 0)
 
-    while queue and not overflowed:
-        x = queue.popleft()
-        d = depth[x] + 1
+    i = 0
+    while i < len(elems) and not overflowed:
+        x = elems[i]
+        d = depths[i] + 1
         admit(ops.tau(x), d)
         admit(ops.zeta(x), d)
         if with_delta_nabla:
             admit(ops.delta(x), d)
             admit(ops.nabla(x), d)
-        for y in list(elems):
-            dy = max(d, depth[y] + 1)
-            if caps.admits(x.arity + y.arity, x.coarity + y.coarity):
+        n = len(elems)
+        pairs_upto.append(n)
+        # Earlier elements j with i < pairs_upto[j] were already combined
+        # with x; pairs_upto is nondecreasing, so they form [j0, i).
+        j0 = bisect_right(pairs_upto, i, 0, i)
+        if overflowed and j0 == 0 < i:
+            # A unary result overflowed, so the search ends after x's
+            # first pair, (x, elems[0]), which was combined before.
+            break
+        for j in chain(range(j0), range(i, n)):
+            y = elems[j]
+            dy = max(d, depths[j] + 1)
+            arity, coarity = x.arity + y.arity, x.coarity + y.coarity
+            if caps.admits(arity, coarity):
                 admit(ops.oplus(x, y), dy)
                 admit(ops.oplus(y, x), dy)
             else:
                 capped = True
-            for k in range(1, min(x.arity, y.coarity) + 1):
+            # Either composite along k wires has shape (arity - k,
+            # coarity - k), which exceeds the caps for k < k_lo; such a k
+            # exists only when the oplus shape was rejected just above.
+            k_lo = max(1, arity - caps.max_arity, coarity - caps.max_coarity)
+            for k in range(k_lo, min(x.arity, y.coarity) + 1):
                 admit(ops.compose_k(x, y, k), dy)
-            for k in range(1, min(y.arity, x.coarity) + 1):
+            for k in range(k_lo, min(y.arity, x.coarity) + 1):
                 admit(ops.compose_k(y, x, k), dy)
             if overflowed:
                 break
+        i += 1
     return SaturationResult(tuple(elems), capped, overflowed)
 
 

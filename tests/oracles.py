@@ -2,12 +2,16 @@
 
 These deliberately avoid the code paths they are used to check:
 brute-force group enumeration by breadth-first products, sequential
-application of map lists, and plain random-table generation.
+application of map lists, plain random-table generation, and saturation
+that combines every dequeued map with every kept map.
 """
 
 import random
+from collections import deque
 
-from revclone.core import Alphabet, Map, evaluate
+from revclone import ops
+from revclone.closure import GeneratorSet, SaturationResult
+from revclone.core import Alphabet, Map, evaluate, identity_map
 
 
 def bfs_group_elements(gens, degree: int) -> set[tuple[int, ...]]:
@@ -59,3 +63,54 @@ def residue_map(alphabet: Alphabet, arity: int, coarity: int, fn) -> Map:
         return tuple(r % k + 1 for r in residues)
 
     return Map.from_function(alphabet, arity, coarity, wrapped)
+
+
+def all_pairs_saturate(generators, caps, with_delta_nabla=False,
+                       alphabet=None) -> SaturationResult:
+    """Bounded saturation that pairs each dequeued map with every map kept
+    so far (so most pairs are combined twice, once in each role) and
+    builds every composite before the caps reject its shape."""
+    gen_set = GeneratorSet.of(generators, alphabet)
+    seeds = [identity_map(gen_set.alphabet, 1), *gen_set.maps]
+    elems, seen, depth, queue = [], set(), {}, deque()
+    capped = overflowed = False
+
+    def admit(m, d):
+        nonlocal capped, overflowed
+        if not caps.admits(m.arity, m.coarity):
+            capped = True
+        elif m in seen:
+            pass
+        elif len(elems) >= caps.max_size or (
+                caps.max_depth is not None and d > caps.max_depth):
+            overflowed = True
+        else:
+            seen.add(m)
+            depth[m] = d
+            elems.append(m)
+            queue.append(m)
+
+    for seed in seeds:
+        admit(seed, 0)
+    while queue and not overflowed:
+        x = queue.popleft()
+        d = depth[x] + 1
+        admit(ops.tau(x), d)
+        admit(ops.zeta(x), d)
+        if with_delta_nabla:
+            admit(ops.delta(x), d)
+            admit(ops.nabla(x), d)
+        for y in list(elems):
+            dy = max(d, depth[y] + 1)
+            if caps.admits(x.arity + y.arity, x.coarity + y.coarity):
+                admit(ops.oplus(x, y), dy)
+                admit(ops.oplus(y, x), dy)
+            else:
+                capped = True
+            for k in range(1, min(x.arity, y.coarity) + 1):
+                admit(ops.compose_k(x, y, k), dy)
+            for k in range(1, min(y.arity, x.coarity) + 1):
+                admit(ops.compose_k(y, x, k), dy)
+            if overflowed:
+                break
+    return SaturationResult(tuple(elems), capped, overflowed)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from revclone import ops
 from revclone.closure import (GeneratorSet, SearchCaps, check_realisation,
                               check_temp_storage, function_set, op_K, op_R,
                               op_S, saturate, search_temp_storage,
@@ -13,14 +14,16 @@ from revclone.gates import fanout, standard_generators, tg
 from revclone.group import from_map
 from revclone.ops import nabla, oplus, pi, select
 
-from oracles import bfs_group_elements, random_bijection, random_table_map, \
-    residue_map
+from oracles import all_pairs_saturate, bfs_group_elements, \
+    random_bijection, random_table_map, residue_map
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
 A5 = Alphabet(5)
 
 SWAP2 = Perm.from_cycles([(1, 2)], degree=2)
+SWAP3 = Perm.from_cycles([(1, 2)], degree=3)
+CYCLE3 = Perm.from_cycles([(1, 2, 3)])
 CAPS3 = SearchCaps(max_arity=3, max_coarity=3, max_size=5000)
 
 
@@ -73,6 +76,68 @@ def test_saturate_overflow_reports_partial():
     sat = saturate([("g", tg(2, SWAP2, 1))], tiny)
     assert sat.overflowed
     assert len(sat.maps) == 5
+
+
+SATURATION_CASES = {
+    "k2-tg1": ([("u", tg(1, SWAP2, 1))], SearchCaps(3, 3, 100000), False),
+    "k2-tg2": ([("g", tg(2, SWAP2, 1))], CAPS3, False),
+    "k2-std-wide-coarity": (standard_generators(2, 2),
+                            SearchCaps(2, 3, 100000), False),
+    "k3-tg1": ([("u", tg(1, SWAP3, 1))], SearchCaps(2, 2, 100000), False),
+    "k3-cycles": ([("u", tg(1, CYCLE3, 1)), ("g", tg(2, CYCLE3, 1))],
+                  SearchCaps(2, 2, 600), False),
+    "k2-delta-nabla": ([("fan", fanout(A2, 2)),
+                        ("proj", nabla(identity_map(A2, 1))),
+                        ("swap", tg(1, SWAP2, 1))],
+                       SearchCaps(2, 2, 100000), True),
+    "k3-delta-nabla": ([("u", tg(1, SWAP3, 1))], SearchCaps(2, 3, 400),
+                       True),
+    "k2-size-overflow": ([("g", tg(2, SWAP2, 1))], SearchCaps(3, 3, 100),
+                         False),
+    # overflows on tau of the second map dequeued, before its pairs
+    "k2-unary-overflow": ([("g", tg(2, SWAP2, 1))], SearchCaps(3, 3, 5),
+                          False),
+    **{f"k3-depth-{d}": (standard_generators(3, 2),
+                         SearchCaps(3, 3, 100000, max_depth=d), False)
+       for d in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_CASES))
+def test_saturate_matches_all_pairs_oracle(name, monkeypatch):
+    gens, caps, dn = SATURATION_CASES[name]
+    expected = all_pairs_saturate(gens, caps, with_delta_nabla=dn)
+    built = []
+    compose_k = ops.compose_k
+
+    def recording_compose_k(f, g, k):
+        m = compose_k(f, g, k)
+        built.append((id(f), id(g), k, m.arity, m.coarity))
+        return m
+
+    monkeypatch.setattr(ops, "compose_k", recording_compose_k)
+    got = saturate(gens, caps, with_delta_nabla=dn)
+    assert got.maps == expected.maps
+    assert (got.capped, got.overflowed) == (expected.capped,
+                                            expected.overflowed)
+    # each pair of distinct maps is combined once, and composites of
+    # out-of-cap shape are flagged, never built
+    pairs = [call[:3] for call in built if call[0] != call[1]]
+    assert pairs and len(set(pairs)) == len(pairs)
+    assert all(caps.admits(*call[3:]) for call in built)
+
+
+def test_saturate_oracle_cases_cover_every_stop():
+    def flags(name):
+        gens, caps, dn = SATURATION_CASES[name]
+        sat = all_pairs_saturate(gens, caps, with_delta_nabla=dn)
+        return sat.capped, sat.overflowed
+
+    assert flags("k2-tg1") == (True, False)
+    assert flags("k2-size-overflow") == (True, True)
+    assert flags("k2-unary-overflow") == (False, True)
+    assert flags("k3-depth-1") == (False, True)
+    assert flags("k3-depth-3") == (True, True)
 
 
 def test_multiclone_flag_is_moot_once_fanout_and_projection_present():

@@ -696,11 +696,13 @@ def perm_token(perm: Perm) -> str:
     return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
 
 
-def _parse_perm_token(token: str, degree: int, line: int) -> Perm:
+def _parse_perm_token(token: str, degree: int, line: int | None = None
+                      ) -> Perm:
     if token == "()":
         return Perm.identity(degree)
     if not re.fullmatch(r"(\(\d+(,\d+)*\))+", token):
-        raise MapStyleError(f"bad permutation token {token!r}", line)
+        raise MapStyleError(f"bad permutation token {token!r}; "
+                            "write cycles like (1,2)(3,4)", line)
     cycles = [tuple(int(x) for x in group.split(","))
               for group in re.findall(r"\(([\d,]+)\)", token)]
     try:

@@ -18,8 +18,9 @@ import sys
 from pathlib import Path
 
 from . import synth
-from .circuit import (CircuitParseError, MapStyleError, evaluate_program,
-                      format_netlist, parse_program, print_term)
+from .circuit import (CircuitParseError, MapStyleError, _parse_perm_token,
+                      evaluate_program, format_netlist, parse_program,
+                      perm_token, print_term)
 from .closure import check_temp_storage, slice_group
 from .core import (Alphabet, Map, MapFormatError, NotBijectiveError, Perm,
                    ShapeError, format_map, is_balanced, is_bijective,
@@ -56,13 +57,6 @@ def _cycle_perm(k: int) -> Perm:
     return Perm.from_cycles([tuple(range(1, k + 1))], degree=k)
 
 
-def _perm_name(perm: Perm) -> str:
-    cycles = perm.cycles()
-    if not cycles:
-        return "id"
-    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
-
-
 def _all_letter_perms(k: int) -> list[Perm]:
     return [Perm(images) for images in
             itertools.permutations(range(1, k + 1))]
@@ -94,7 +88,7 @@ def builtin_generators(name: str, alphabet: Alphabet) -> list[tuple[str, Map]]:
                     continue
                 letters = alphabet.letters() if all_o else (1,)
                 for o in letters:
-                    label = f"tg{i}-{_perm_name(alpha)}"
+                    label = f"tg{i}-{perm_token(alpha)}"
                     if all_o:
                         label += f"-o{o}"
                     out.append((label, tg(i, alpha, o)))
@@ -258,20 +252,9 @@ def _cmd_lift_odd(args) -> int:
     return EXIT_OK
 
 
-def _parse_cycle_token(token: str, degree: int) -> Perm:
-    if token in ("()", "id"):
-        return Perm.identity(degree)
-    if not re.fullmatch(r"(\(\d+(,\d+)*\))+", token):
-        raise ShapeError(f"bad permutation token {token!r}; "
-                         "write cycles like (1,2)(3,4)")
-    cycles = [tuple(int(x) for x in group.split(","))
-              for group in re.findall(r"\(([\d,]+)\)", token)]
-    return Perm.from_cycles(cycles, degree=degree)
-
-
 def _cmd_lift_ts(args) -> int:
     alphabet = Alphabet(args.alphabet)
-    perm = _parse_cycle_token(args.perm, alphabet.size)
+    perm = _parse_perm_token(args.perm, alphabet.size)
     lift = synth.lift_temp_storage(args.n, perm, args.o, args.p)
     verdict = check_temp_storage(lift.realiser, lift.constants, lift.reduct)
     netlist_text = format_netlist(lift.netlist, alphabet)

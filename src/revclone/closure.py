@@ -210,9 +210,12 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
             y = elems[j]
             dy = max(d, depths[j] + 1)
             arity, coarity = x.arity + y.arity, x.coarity + y.coarity
+            # The self-pair (j == i) skips the reversed builds: they would
+            # repeat the forward ones, which are seen or set the same flag.
             if caps.admits(arity, coarity):
                 admit(ops.oplus(x, y), dy)
-                admit(ops.oplus(y, x), dy)
+                if j != i:
+                    admit(ops.oplus(y, x), dy)
             else:
                 capped = True
             # Either composite along k wires has shape (arity - k,
@@ -221,8 +224,9 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
             k_lo = max(1, arity - caps.max_arity, coarity - caps.max_coarity)
             for k in range(k_lo, min(x.arity, y.coarity) + 1):
                 admit(ops.compose_k(x, y, k), dy)
-            for k in range(k_lo, min(y.arity, x.coarity) + 1):
-                admit(ops.compose_k(y, x, k), dy)
+            if j != i:
+                for k in range(k_lo, min(y.arity, x.coarity) + 1):
+                    admit(ops.compose_k(y, x, k), dy)
             if overflowed:
                 break
         i += 1

@@ -67,6 +67,18 @@ def _expand_word(word) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of image tuples, left to right: a first, then b."""
+    return tuple([b[i] for i in a])
+
+
+def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
+    images = [0] * len(a)
+    for i, j in enumerate(a):
+        images[j] = i
+    return tuple(images)
+
+
 class TuplePerm:
     """A permutation of the points 0..degree-1.
 
@@ -104,14 +116,10 @@ class TuplePerm:
         if other.degree != self.degree:
             raise ShapeError("degree mismatch", expected=self.degree,
                              actual=other.degree)
-        oi = other.images
-        return TuplePerm._unchecked(tuple(oi[i] for i in self.images))
+        return TuplePerm._unchecked(_mul(self.images, other.images))
 
     def inverse(self) -> "TuplePerm":
-        images = [0] * self.degree
-        for i, j in enumerate(self.images):
-            images[j] = i
-        return TuplePerm._unchecked(tuple(images))
+        return TuplePerm._unchecked(_invert(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -170,15 +178,31 @@ def sign(p: TuplePerm) -> int:
 class _Level:
     __slots__ = ("point", "own_gens", "transversal", "orbit", "processed")
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, ident: tuple[int, ...]):
         self.point = point
-        # own_gens: list of (uid, perm, word) discovered at this depth
-        self.own_gens: list[tuple[int, TuplePerm, object]] = []
-        ident = TuplePerm.identity(degree)
-        # transversal: point -> (perm, inverse perm, word); base maps to id
+        # own_gens: list of (uid, images, word) discovered at this depth
+        self.own_gens: list[tuple[int, tuple[int, ...], object]] = []
+        # transversal: point -> (images, inverse, word); base maps to id
         self.transversal = {point: (ident, ident, _EMPTY_WORD)}
         self.orbit = [point]
         self.processed: set[tuple[int, int]] = set()
+
+
+def _sift(levels: list[_Level], p: tuple[int, ...], word, start: int):
+    """Sift the image tuple p, spelled by `word`, through levels[start:].
+
+    Returns (residue, word, depth): depth is the first level whose orbit
+    lacks the residue's image of its base point, or len(levels); the word
+    gains the inverse of each transversal word used, so it spells the
+    residue."""
+    for depth in range(start, len(levels)):
+        level = levels[depth]
+        entry = level.transversal.get(p[level.point])
+        if entry is None:
+            return p, word, depth
+        p = _mul(p, entry[1])
+        word = _cat(word, _inv(entry[2]))
+    return p, word, len(levels)
 
 
 class TupleGroup:
@@ -194,6 +218,7 @@ class TupleGroup:
         self.degree = degree
         self.named_generators = tuple(named_generators)
         self._levels = levels
+        self._ident = tuple(range(degree))
 
     @classmethod
     def build(cls, generators, degree: int | None = None) -> "TupleGroup":
@@ -224,7 +249,7 @@ class TupleGroup:
             raise ShapeError("degree required for an empty generator list")
         builder = _ChainBuilder(degree)
         for index, (_, perm) in enumerate(named):
-            builder.add_generator(perm, ("g", index))
+            builder.add_generator(perm.images, ("g", index))
         return cls(degree, named, builder.levels)
 
     def order(self) -> int:
@@ -236,29 +261,12 @@ class TupleGroup:
     def base(self) -> tuple[int, ...]:
         return tuple(level.point for level in self._levels)
 
-    def _strip(self, p: TuplePerm):
-        """Sift p through the chain.
-
-        Returns (residue, level_index, path) where path lists the
-        transversal words consumed, in consumption order.
-        """
-        path = []
-        for index, level in enumerate(self._levels):
-            target = p.act(level.point)
-            entry = level.transversal.get(target)
-            if entry is None:
-                return p, index, path
-            t, t_inv, word = entry
-            p = p * t_inv
-            path.append(word)
-        return p, len(self._levels), path
-
     def contains(self, p: TuplePerm) -> bool:
         if p.degree != self.degree:
             raise ShapeError("degree mismatch", expected=self.degree,
                              actual=p.degree)
-        residue, _, _ = self._strip(p)
-        return residue.is_identity()
+        residue, _, _ = _sift(self._levels, p.images, _EMPTY_WORD, 0)
+        return residue == self._ident
 
     def witness(self, p: TuplePerm) -> tuple[int, ...] | None:
         """A word over the generators multiplying (left-to-right
@@ -269,30 +277,28 @@ class TupleGroup:
         if p.degree != self.degree:
             raise ShapeError("degree mismatch", expected=self.degree,
                              actual=p.degree)
-        if p.is_identity():
+        if p.images == self._ident:
             return ()
         for index, (_, gen) in enumerate(self.named_generators):
             if gen == p:
                 return (index + 1,)
-        residue, _, path = self._strip(p)
-        if not residue.is_identity():
+        # The sifted word spells p^-1 times the residue.
+        residue, word, _ = _sift(self._levels, p.images, _EMPTY_WORD, 0)
+        if residue != self._ident:
             return None
-        word = _EMPTY_WORD
-        for step in path:
-            word = _cat(step, word)
-        return _expand_word(word)
+        return _expand_word(_inv(word))
 
     def evaluate_word(self, word: Iterable[int]) -> TuplePerm:
         """Multiply out a signed generator word (left-to-right)."""
-        result = TuplePerm.identity(self.degree)
+        result = self._ident
         for index in word:
             if index == 0 or abs(index) > len(self.named_generators):
                 raise ShapeError("word index out of range", actual=index)
-            perm = self.named_generators[abs(index) - 1][1]
+            images = self.named_generators[abs(index) - 1][1].images
             if index < 0:
-                perm = perm.inverse()
-            result = result * perm
-        return result
+                images = _invert(images)
+            result = _mul(result, images)
+        return TuplePerm._unchecked(result)
 
     def witness_names(self, word: Iterable[int]) -> tuple[str, ...]:
         out = []
@@ -304,18 +310,20 @@ class TupleGroup:
     def random_element(self, rng) -> TuplePerm:
         """A uniformly random element (one random transversal entry per
         level, deepest applied first)."""
-        result = TuplePerm.identity(self.degree)
+        result = self._ident
         for level in reversed(self._levels):
             point = level.orbit[rng.randrange(len(level.orbit))]
-            result = result * level.transversal[point][0]
-        return result
+            result = _mul(result, level.transversal[point][0])
+        return TuplePerm._unchecked(result)
 
 
 class _ChainBuilder:
-    """Deterministic incremental Schreier-Sims."""
+    """Deterministic incremental Schreier-Sims on raw image tuples: strong
+    generators, transversals, Schreier generators and residues are plain
+    tuples; TuplePerm objects appear only at the TupleGroup boundary."""
 
     def __init__(self, degree: int):
-        self.degree = degree
+        self.ident = tuple(range(degree))
         self.levels: list[_Level] = []
         self._uid = 0
 
@@ -335,57 +343,36 @@ class _ChainBuilder:
     def _extend_orbit(self, index: int) -> None:
         level = self.levels[index]
         gens = self._effective_gens(index)
-        queue = list(level.orbit)
-        pos = 0
-        while pos < len(queue):
-            point = queue[pos]
-            pos += 1
+        # The orbit grows while it is scanned, so new points are scanned too.
+        for point in level.orbit:
             t, _, t_word = level.transversal[point]
             for _, gen, gen_word in gens:
-                image = gen.act(point)
+                image = gen[point]
                 if image not in level.transversal:
-                    perm = t * gen
-                    level.transversal[image] = (perm, perm.inverse(),
+                    perm = _mul(t, gen)
+                    level.transversal[image] = (perm, _invert(perm),
                                                 _cat(t_word, gen_word))
                     level.orbit.append(image)
-                    queue.append(image)
-
-    # -- sifting -----------------------------------------------------------
-
-    def _strip(self, p: TuplePerm, word, start: int):
-        for index in range(start, len(self.levels)):
-            level = self.levels[index]
-            target = p.act(level.point)
-            entry = level.transversal.get(target)
-            if entry is None:
-                return p, word, index
-            t, t_inv, t_word = entry
-            p = p * t_inv
-            word = _cat(word, _inv(t_word))
-        return p, word, len(self.levels)
 
     # -- construction ------------------------------------------------------
 
-    def add_generator(self, perm: TuplePerm, word) -> None:
-        if perm.degree != self.degree:
-            raise ShapeError("degree mismatch", expected=self.degree,
-                             actual=perm.degree)
-        residue, rword, index = self._strip(perm, word, 0)
-        if residue.is_identity():
-            return
-        self._install(residue, rword, index)
+    def add_generator(self, perm: tuple[int, ...], word) -> None:
+        residue, rword, depth = _sift(self.levels, perm, word, 0)
+        if residue != self.ident:
+            self._install(residue, rword, depth, -1)
 
-    def _install(self, perm: TuplePerm, word, index: int) -> None:
-        """Record a strong generator that fixes the first `index` base
-        points, then restore completeness from that depth upward."""
-        if index == len(self.levels):
-            base = perm.first_moved()
-            self.levels.append(_Level(base, self.degree))
-        level = self.levels[index]
-        level.own_gens.append((self._uid, perm, word))
+    def _install(self, perm: tuple[int, ...], word, depth: int,
+                 index: int) -> None:
+        """Record a strong generator that fixes the first `depth` base
+        points, then restore completeness at levels depth, depth - 1, ...
+        down to, but not including, level `index`."""
+        if depth == len(self.levels):
+            base = next(i for i, j in enumerate(perm) if i != j)
+            self.levels.append(_Level(base, self.ident))
+        self.levels[depth].own_gens.append((self._uid, perm, word))
         self._uid += 1
-        for depth in range(index, -1, -1):
-            self._complete(depth)
+        for d in range(depth, index, -1):
+            self._complete(d)
 
     def _complete(self, index: int) -> None:
         """Process Schreier generators at `index` until every (orbit
@@ -403,24 +390,16 @@ class _ChainBuilder:
                     if key in level.processed:
                         continue
                     level.processed.add(key)
-                    image = gen.act(point)
-                    u2, u2_inv, u2_word = level.transversal[image]
-                    schreier = t * gen * u2_inv
-                    if schreier.is_identity():
+                    _, u2_inv, u2_word = level.transversal[gen[point]]
+                    schreier = _mul(_mul(t, gen), u2_inv)
+                    if schreier == self.ident:
                         continue
                     s_word = _cat(_cat(t_word, gen_word), _inv(u2_word))
-                    residue, rword, depth = self._strip(schreier, s_word,
-                                                        index + 1)
-                    if residue.is_identity():
+                    residue, rword, depth = _sift(self.levels, schreier,
+                                                  s_word, index + 1)
+                    if residue == self.ident:
                         continue
-                    if depth == len(self.levels):
-                        base = residue.first_moved()
-                        self.levels.append(_Level(base, self.degree))
-                    deeper = self.levels[depth]
-                    deeper.own_gens.append((self._uid, residue, rword))
-                    self._uid += 1
-                    for d in range(depth, index, -1):
-                        self._complete(d)
+                    self._install(residue, rword, depth, index)
                     dirty = True
             if not dirty:
                 return

@@ -213,6 +213,8 @@ def test_netlist_text_errors():
         parse_netlist("wires 2\ntg 2 (1,2) 1 @ 1 2\n")  # no alphabet
     with pytest.raises(MapStyleError):
         parse_netlist("alphabet 2\nwires 2\ntg 1 (1,2) 1 @ 1 2\n")
+    with pytest.raises(MapStyleError, match=r"line 3: .*like \(1,2\)"):
+        parse_netlist("alphabet 2\nwires 2\nu 1,2 @ 1\n")
     with pytest.raises(ShapeError):
         Netlist(2, (Stage("u", Perm.from_cycles([(1, 2)]), None, (3,)),))
 

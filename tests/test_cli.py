@@ -168,3 +168,7 @@ def test_usage_and_data_errors(tmp_path, capsys):
     code, _, err = run(capsys, "closure-order", "--alphabet", "2",
                        "--arity", "2", "--gen", "no-such-gen")
     assert code == 2
+    code, _, err = run(capsys, "lift-ts", "--alphabet", "2", "--n", "4",
+                       "--perm", "id", "--o", "1")
+    assert code == 2
+    assert "write cycles like (1,2)(3,4)" in err

@@ -1,8 +1,13 @@
+import functools
+import hashlib
+import itertools
 import math
+import operator
 import random
 
 import pytest
 
+from revclone.cli import builtin_generators
 from revclone.core import (Alphabet, NotBijectiveError, Perm, ShapeError,
                            identity_map)
 from revclone.gates import elementary, standard_generators, tg
@@ -207,3 +212,66 @@ def test_degree_mismatch_errors():
         group.contains(TuplePerm((1, 0)))
     with pytest.raises(ShapeError):
         TupleGroup.build([TuplePerm((1, 0)), TuplePerm((1, 0, 2))])
+
+
+def _products_up_to_four(count):
+    return [seq for length in range(1, 5)
+            for seq in itertools.product(range(count), repeat=length)]
+
+
+# (generator set, k, n) -> (products to witness, as generator indices in
+# application order; sha256 of the chain record).  None witnesses every
+# product of up to four generators.  In the degree-27 and degree-36
+# slices many such products have witness words of 10^5 to 10^6
+# generators, so those witness a fixed list of products with short words.
+PINNED_CHAINS = {
+    ("std4", 2, 3): (
+        None,
+        "a816d173dd09aac2d3a9ac3138cbbfb39617975c3460c331e1e30bd72e2cb03a"),
+    ("std4", 3, 2): (
+        None,
+        "7f40561762207a277e2a83a03948287e42eda58d8ebab90fdd29b1d901bbed3c"),
+    ("std4", 2, 4): (
+        None,
+        "cb9a02e2a01f4194d962b173d8e3af5940ef8c3ed18ba3e5f0d32d2705984e15"),
+    ("std4", 6, 2): (
+        [(4, 1), (2, 4), (3, 4), (0, 1), (3, 3, 0), (3, 3, 3), (0, 1, 3),
+         (2, 3, 0), (2, 1, 3, 3), (4, 1, 0, 1), (2, 3, 0, 1), (0, 1, 1, 1)],
+        "a67fa0f4d0988b43fe4eab0191244fa1024792b6da1aa7cf577fe8433b5b172e"),
+    ("std4", 3, 3): (
+        [(4, 3), (1, 4), (0, 4), (3, 4), (3, 0, 4), (3, 1, 4), (0, 2, 4),
+         (1, 4, 3), (3, 2, 2, 4), (3, 4, 1, 2), (0, 2, 4, 2), (2, 1, 0, 4)],
+        "c0989b099d473b128e3cd5bfb9b3dcac5c3e319ab58dfae5a817ab98b2c5f5bf"),
+    ("tg3-swap", 2, 3): (
+        None,
+        "67703d92b845351115100088cf63ef54babc7bc24acdf5b4292e7c0030d51e39"),
+    ("tg2-cycle", 5, 2): (
+        None,
+        "8725fc39c5eebb3c6944ff0372fba756657d42d7082a2ae78e10ffd29da64953"),
+    ("tg-family-lt3-allo", 2, 3): (
+        None,
+        "a3a7d584c98bf7827b62517b55e67b75120c3dc8648b312caae2b0a3bf3b70f6"),
+}
+
+
+@pytest.mark.parametrize("name,k,n", sorted(PINNED_CHAINS))
+def test_chain_behaviour_is_pinned(name, k, n):
+    """Orders, bases, memberships, witness words and random elements of
+    the deterministic chain stay exactly as recorded."""
+    products, digest = PINNED_CHAINS[name, k, n]
+    alphabet = Alphabet(k)
+    group = slice_group(builtin_generators(name, alphabet), n, alphabet)
+    gens = [perm for _, perm in group.named_generators]
+    if products is None:
+        products = _products_up_to_four(len(gens))
+    record = [group.order(), group.base()]
+    for seq in products:
+        p = functools.reduce(operator.mul, (gens[i] for i in seq))
+        record.append((seq, group.contains(p), group.witness(p)))
+    rng = random.Random(f"{name}/{k}/{n}")
+    record.extend(group.contains(random_tuple_perm(rng, group.degree))
+                  for _ in range(20))
+    if group.degree <= 16:
+        record.extend(group.random_element(random.Random(seed)).images
+                      for seed in range(5))
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == digest

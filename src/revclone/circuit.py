@@ -606,11 +606,9 @@ class Netlist:
                                      expected=f"1..{self.wires}", actual=w)
 
 
-def _apply_stage(stage: Stage, state: list[int]) -> None:
+def _apply_stage(stage: Stage, sources, state: list[int]) -> None:
     if stage.kind == "pi":
-        values = [state[w - 1] for w in stage.wires]
-        inv = stage.perm.inverse()
-        moved = [values[inv(j) - 1] for j in range(1, len(values) + 1)]
+        moved = [state[i] for i in sources]
         for w, v in zip(stage.wires, moved):
             state[w - 1] = v
         return
@@ -629,13 +627,22 @@ def simulate(nl: Netlist, alphabet: Alphabet) -> Map:
         if stage.kind in ("tg", "u") and stage.perm.degree != alphabet.size:
             raise ShapeError("gate letter permutation has the wrong degree",
                              expected=alphabet.size, actual=stage.perm.degree)
-    rows = []
+    # For a pi stage, the state index each of its wires reads: stage wire
+    # j takes the letter of stage wire perm^-1(j).
+    compiled = [(stage, [stage.wires[i - 1] - 1
+                         for i in stage.perm.inverse().images]
+                 if stage.kind == "pi" else None) for stage in nl.stages]
+    k = alphabet.size
+    codes = []
     for x in alphabet.tuples(nl.wires):
         state = list(x)
-        for stage in nl.stages:
-            _apply_stage(stage, state)
-        rows.append(tuple(state))
-    return Map(alphabet, nl.wires, nl.wires, rows, validate=False)
+        for stage, sources in compiled:
+            _apply_stage(stage, sources, state)
+        code = 0
+        for letter in state:
+            code = code * k + letter - 1
+        codes.append(code)
+    return Map._unchecked(alphabet, nl.wires, nl.wires, tuple(codes))
 
 
 def _routing(stage_wires: tuple[int, ...], width: int) -> Perm:
@@ -728,62 +735,81 @@ def format_netlist(nl: Netlist, alphabet: Alphabet | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_token(token: str, what: str, line: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise MapStyleError(f"{what} must be an integer, got {token!r}",
+                            line) from None
+
+
+_STAGE_FORMS = {"tg": "tg <n> <perm> <o>", "pi": "pi <perm>", "u": "u <perm>"}
+
+
+def _parse_stage(parts: list[str], wires: int, alphabet: Alphabet | None,
+                 line: int) -> Stage:
+    if "@" not in parts[1:]:
+        raise MapStyleError("stage line needs a kind and '@ wires'", line)
+    at = parts.index("@", 1)
+    head, wire_toks = parts[:at], parts[at + 1:]
+    kind = head[0]
+    if kind not in _STAGE_FORMS:
+        raise MapStyleError(f"unknown stage kind {kind!r}", line)
+    if len(head) != len(_STAGE_FORMS[kind].split()):
+        raise MapStyleError(f"{kind} stage is {_STAGE_FORMS[kind]!r}", line)
+    stage_wires = tuple(_int_token(w, "a wire", line) for w in wire_toks)
+    for w in stage_wires:
+        if not 1 <= w <= wires:
+            raise MapStyleError(f"stage wire {w} outside 1..{wires}", line)
+    if kind == "pi":
+        perm = _parse_perm_token(head[1], len(stage_wires), line)
+        return Stage("pi", perm, None, stage_wires)
+    if alphabet is None:
+        raise MapStyleError(f"{kind} stage needs an alphabet header", line)
+    o = None
+    if kind == "tg":
+        if _int_token(head[1], "a tg width", line) != len(stage_wires):
+            raise MapStyleError("tg width disagrees with wire list", line)
+        o = _int_token(head[3], "a control letter", line)
+        alphabet.check_letter(o)
+    perm = _parse_perm_token(head[2 if kind == "tg" else 1], alphabet.size,
+                             line)
+    return Stage(kind, perm, o, stage_wires)
+
+
 def parse_netlist(text: str, alphabet: Alphabet | None = None
                   ) -> tuple[Netlist, Alphabet | None]:
     """Parse netlist text.  Returns the netlist and the alphabet named in
-    the header (or the one passed in)."""
+    the header (or the one passed in).  Malformed text raises
+    MapStyleError with its line number."""
     wires = None
     stages = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "alphabet":
-            if len(parts) != 2:
-                raise MapStyleError("alphabet takes one integer", lineno)
-            declared = Alphabet(int(parts[1]))
-            if alphabet is not None and alphabet != declared:
-                raise MapStyleError("alphabet header conflicts with caller",
-                                    lineno)
-            alphabet = declared
-            continue
-        if parts[0] == "wires":
-            if wires is not None:
-                raise MapStyleError("duplicate wires header", lineno)
-            wires = int(parts[1])
-            continue
-        if wires is None:
-            raise MapStyleError("stage before wires header", lineno)
-        if "@" not in parts:
-            raise MapStyleError("stage line needs '@ wires'", lineno)
-        at = parts.index("@")
-        head, wire_toks = parts[:at], parts[at + 1:]
-        stage_wires = tuple(int(w) for w in wire_toks)
-        if head[0] == "tg":
-            if len(head) != 4:
-                raise MapStyleError("tg stage is 'tg <n> <perm> <o>'", lineno)
-            n = int(head[1])
-            if n != len(stage_wires):
-                raise MapStyleError("tg width disagrees with wire list", lineno)
-            if alphabet is None:
-                raise MapStyleError("tg stage needs an alphabet header", lineno)
-            perm = _parse_perm_token(head[2], alphabet.size, lineno)
-            stages.append(Stage("tg", perm, int(head[3]), stage_wires))
-        elif head[0] == "pi":
-            if len(head) != 2:
-                raise MapStyleError("pi stage is 'pi <perm>'", lineno)
-            perm = _parse_perm_token(head[1], len(stage_wires), lineno)
-            stages.append(Stage("pi", perm, None, stage_wires))
-        elif head[0] == "u":
-            if len(head) != 2:
-                raise MapStyleError("u stage is 'u <perm>'", lineno)
-            if alphabet is None:
-                raise MapStyleError("u stage needs an alphabet header", lineno)
-            perm = _parse_perm_token(head[1], alphabet.size, lineno)
-            stages.append(Stage("u", perm, None, stage_wires))
-        else:
-            raise MapStyleError(f"unknown stage kind {head[0]!r}", lineno)
+        try:
+            if parts[0] in ("alphabet", "wires") and len(parts) != 2:
+                raise MapStyleError(f"{parts[0]} takes one integer", lineno)
+            if parts[0] == "alphabet":
+                declared = Alphabet(_int_token(parts[1], "alphabet", lineno))
+                if alphabet is not None and alphabet != declared:
+                    raise MapStyleError("alphabet header conflicts with "
+                                        "caller", lineno)
+                alphabet = declared
+            elif parts[0] == "wires":
+                if wires is not None:
+                    raise MapStyleError("duplicate wires header", lineno)
+                wires = _int_token(parts[1], "wires", lineno)
+                if wires < 0:
+                    raise MapStyleError("wire count must be non-negative",
+                                        lineno)
+            elif wires is None:
+                raise MapStyleError("stage before wires header", lineno)
+            else:
+                stages.append(_parse_stage(parts, wires, alphabet, lineno))
+        except ShapeError as exc:
+            raise MapStyleError(str(exc), lineno) from None
     if wires is None:
         raise MapStyleError("missing wires header")
     return Netlist(wires, tuple(stages)), alphabet

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import ops
 from .core import Alphabet, Map, NotBijectiveError, Perm, ShapeError, \
-    identity_map, is_bijective
+    encode, identity_map, is_bijective
 from .group import TupleGroup, from_map
 
 
@@ -317,15 +317,6 @@ class RealisationResult:
     capped: bool = False
 
 
-def _realises(f: Map, g: Map, constants: tuple[int, ...]) -> bool:
-    n = g.coarity
-    alphabet = g.alphabet
-    for x, grow in zip(alphabet.tuples(g.arity), g.table):
-        if f(x + constants)[:n] != grow:
-            return False
-    return True
-
-
 def check_realisation(g: Map, generators, caps: SearchCaps,
                       alphabet: Alphabet | None = None) -> RealisationResult:
     """Search the bounded closure of the generators for a realiser of g.
@@ -367,8 +358,13 @@ def check_realisation(g: Map, generators, caps: SearchCaps,
                 continue
             if want_arity is not None and f.arity != want_arity:
                 continue
-            for constants in alphabet.tuples(f.arity - m):
-                if _realises(f, g, constants):
+            # Input x + constants of f has index x * spread + c, c the
+            # constants' code; g's outputs are the high output digits.
+            spread = alphabet.count(f.arity - m)
+            drop = alphabet.count(f.coarity - n)
+            for c, constants in enumerate(alphabet.tuples(f.arity - m)):
+                if all(f.codes[x * spread + c] // drop == gc
+                       for x, gc in enumerate(g.codes)):
                     return f, constants
         return None
 
@@ -420,18 +416,16 @@ def check_temp_storage(f: Map, a: Sequence[int], g: Map) -> str:
     if n + l - m != kk:
         raise ShapeError("shape mismatch: coarity(f) must equal "
                          "coarity(g) + len(a)", expected=n + l - m, actual=kk)
-    for letter in a:
-        f.alphabet.check_letter(letter)
-    alphabet = f.alphabet
-    for x, grow in zip(alphabet.tuples(m), g.table):
-        row = f(x + a)
-        if row[:n] != grow or row[n:] != a:
+    # Input x + a has index x * spread + constant; the ancilla outputs are
+    # the low digits of the output code.
+    spread = f.alphabet.count(l - m)
+    constant = encode(a, f.alphabet, l - m)
+    fcodes = f.codes
+    for x, gc in enumerate(g.codes):
+        if divmod(fcodes[x * spread + constant], spread) != (gc, constant):
             return "none"
-    anc = l - m
-    target = alphabet.count(anc)
-    for b in alphabet.tuples(m):
-        seen = {f(b + x)[n:] for x in alphabet.tuples(anc)}
-        if len(seen) != target:
+    for x in range(0, len(fcodes), spread):
+        if len({c % spread for c in fcodes[x:x + spread]}) != spread:
             return "weak"
     return "strong"
 

@@ -1,10 +1,11 @@
 """Alphabets, permutations, and dense truth tables for maps A^n -> A^m.
 
 Letters are 1-based: the alphabet of size k is {1, ..., k}.  A Map stores
-the complete table of output tuples, indexed by the big-endian encoding of
-the input tuple, so structural questions (bijectivity, balance, inversion)
-are direct table scans.  Maps are immutable values; every operation on them
-returns a fresh value.
+one integer per input tuple: the big-endian encoding of its output tuple,
+indexed by the encoding of the input tuple.  Structural questions
+(bijectivity, balance, inversion) are direct scans of these codes, and the
+operations rearrange them by integer arithmetic; the tuple view
+``Map.table`` is decoded on demand.  Maps are immutable values.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class Alphabet:
         return itertools.product(self.letters(), repeat=n)
 
     def tuple_list(self, n: int) -> tuple[tuple[int, ...], ...]:
-        """Cached materialization of :meth:`tuples`; the hot loops in the
-        composition operations reuse it heavily."""
+        """Materialization of :meth:`tuples`, cached while k^n <= 4096:
+        entry i is the tuple whose encoding is i, so ``Map.table`` decodes
+        rows by indexing it."""
         return _tuple_list(self.size, n)
 
     def count(self, n: int) -> int:
@@ -187,7 +189,7 @@ def _tuple_list(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     cached = _TUPLE_LIST_CACHE.get(key)
     if cached is None:
         cached = tuple(itertools.product(range(1, k + 1), repeat=n))
-        if k ** n <= 200_000:
+        if k ** n <= 4096:
             _TUPLE_LIST_CACHE[key] = cached
     return cached
 
@@ -221,48 +223,60 @@ def decode(index: int, alphabet: Alphabet, n: int) -> tuple[int, ...]:
 
 
 class Map:
-    """A total function A^arity -> A^coarity as a dense truth table.
+    """A total function A^arity -> A^coarity as a dense table of encoded
+    outputs.
 
-    ``table[i]`` is the output tuple for the input tuple with encoding i.
+    ``codes[i]`` is the :func:`encode` value of the output tuple for the
+    input tuple with encoding i; for a balanced bijection these are the
+    images of its TuplePerm.  ``table`` decodes them to output tuples.  The
+    constructor takes output tuples and validates them by encoding them.
     Instances are immutable and hashable; the hash is cached because maps
     are deduplicated heavily during closure searches.
     """
 
-    __slots__ = ("alphabet", "arity", "coarity", "table", "_hash")
+    __slots__ = ("alphabet", "arity", "coarity", "codes", "_hash")
 
     def __init__(self, alphabet: Alphabet, arity: int, coarity: int,
-                 table: Iterable[tuple[int, ...]], validate: bool = True):
+                 table: Iterable[tuple[int, ...]]):
+        if arity < 0 or coarity < 0:
+            raise ShapeError("arity and coarity must be non-negative",
+                             actual=(arity, coarity))
+        rows = tuple(table)
+        if len(rows) != alphabet.count(arity):
+            raise ShapeError("table length must be k^arity",
+                             expected=alphabet.count(arity), actual=len(rows))
         self.alphabet = alphabet
         self.arity = arity
         self.coarity = coarity
-        self.table = tuple(table)
+        self.codes = tuple([encode(row, alphabet, coarity) for row in rows])
         self._hash = None
-        if validate:
-            self._validate()
 
-    def _validate(self) -> None:
-        if self.arity < 0 or self.coarity < 0:
-            raise ShapeError("arity and coarity must be non-negative",
-                             actual=(self.arity, self.coarity))
-        expected_rows = self.alphabet.count(self.arity)
-        if len(self.table) != expected_rows:
-            raise ShapeError("table length must be k^arity",
-                             expected=expected_rows, actual=len(self.table))
-        k = self.alphabet.size
-        for row in self.table:
-            if len(row) != self.coarity:
-                raise ShapeError("output tuple length mismatch",
-                                 expected=self.coarity, actual=len(row))
-            for letter in row:
-                if not 1 <= letter <= k:
-                    raise ShapeError("output letter out of range",
-                                     expected=f"1..{k}", actual=letter)
+    @classmethod
+    def _unchecked(cls, alphabet: Alphabet, arity: int, coarity: int,
+                   codes: tuple[int, ...]) -> "Map":
+        """A map from codes already known to fit its shape."""
+        m = object.__new__(cls)
+        m.alphabet = alphabet
+        m.arity = arity
+        m.coarity = coarity
+        m.codes = codes
+        m._hash = None
+        return m
 
     @classmethod
     def from_function(cls, alphabet: Alphabet, arity: int, coarity: int,
                       fn: Callable[[tuple[int, ...]], tuple[int, ...]]) -> "Map":
         table = [tuple(fn(x)) for x in alphabet.tuples(arity)]
         return cls(alphabet, arity, coarity, table)
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The output tuple of every row, decoded from the codes."""
+        k, m = self.alphabet.size, self.coarity
+        if k ** m > len(self.codes):  # listing all k^m tuples costs more
+            return tuple([decode(c, self.alphabet, m) for c in self.codes])
+        rows = _tuple_list(k, m)
+        return tuple([rows[c] for c in self.codes])
 
     def __call__(self, x: tuple[int, ...]) -> tuple[int, ...]:
         return evaluate(self, x)
@@ -271,12 +285,12 @@ class Map:
         if not isinstance(other, Map):
             return NotImplemented
         return (self.alphabet == other.alphabet and self.arity == other.arity
-                and self.coarity == other.coarity and self.table == other.table)
+                and self.coarity == other.coarity and self.codes == other.codes)
 
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash((self.alphabet.size, self.arity,
-                               self.coarity, self.table))
+                               self.coarity, self.codes))
         return self._hash
 
     def __repr__(self) -> str:
@@ -286,13 +300,13 @@ class Map:
 
 def identity_map(alphabet: Alphabet, n: int) -> Map:
     """The identity on A^n (i_n)."""
-    table = tuple(alphabet.tuples(n))
-    return Map(alphabet, n, n, table, validate=False)
+    return Map._unchecked(alphabet, n, n, tuple(range(alphabet.count(n))))
 
 
 def evaluate(f: Map, x: tuple[int, ...]) -> tuple[int, ...]:
     """Apply f to the letter tuple x."""
-    return f.table[encode(tuple(x), f.alphabet, f.arity)]
+    code = f.codes[encode(tuple(x), f.alphabet, f.arity)]
+    return decode(code, f.alphabet, f.coarity)
 
 
 def is_balanced(f: Map) -> bool:
@@ -307,8 +321,16 @@ def is_bijective(f: Map) -> bool:
     bijective map is balanced; the check is structural, not short-circuited
     on shapes.
     """
-    rows = set(f.table)
-    return len(rows) == len(f.table) == f.alphabet.count(f.coarity)
+    return len(set(f.codes)) == len(f.codes) == f.alphabet.count(f.coarity)
+
+
+def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a permutation of 0..len(images)-1 given by its
+    images."""
+    inverse = [0] * len(images)
+    for i, j in enumerate(images):
+        inverse[j] = i
+    return tuple(inverse)
 
 
 def inverse(f: Map) -> Map:
@@ -317,11 +339,7 @@ def inverse(f: Map) -> Map:
         raise NotBijectiveError(
             f"cannot invert a non-bijective map of shape "
             f"({f.arity},{f.coarity})")
-    n = f.arity
-    table = [()] * len(f.table)
-    for index, row in enumerate(f.table):
-        table[encode(row, f.alphabet, n)] = decode(index, f.alphabet, n)
-    return Map(f.alphabet, n, n, table, validate=False)
+    return Map._unchecked(f.alphabet, f.arity, f.arity, _invert(f.codes))
 
 
 def parse_map(text: str) -> Map:
@@ -402,7 +420,6 @@ def format_map(f: Map) -> str:
     lines = [f"alphabet {f.alphabet.size}",
              f"arity {f.arity}",
              f"coarity {f.coarity}"]
-    for index, row in enumerate(f.table):
-        x = decode(index, f.alphabet, f.arity)
+    for x, row in zip(f.alphabet.tuples(f.arity), f.table):
         lines.append(f"{' '.join(map(str, x))} -> {' '.join(map(str, row))}")
     return "\n".join(lines) + "\n"

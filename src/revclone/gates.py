@@ -4,7 +4,7 @@ four-element generating family."""
 
 from __future__ import annotations
 
-from .core import Alphabet, Map, Perm, ShapeError
+from .core import Alphabet, Map, Perm, ShapeError, decode, encode
 
 
 def tg(n: int, alpha: Perm, o: int) -> Map:
@@ -18,16 +18,19 @@ def tg(n: int, alpha: Perm, o: int) -> Map:
         raise ShapeError("gate needs at least one wire", expected=">= 1",
                          actual=n)
     alphabet.check_letter(o)
-    if n == 1:
-        rows = [(alpha(x),) for x in alphabet.letters()]
-        return Map(alphabet, 1, 1, rows, validate=False)
-    rows = []
-    for x in alphabet.tuples(n):
-        if all(c == o for c in x[:-1]):
-            rows.append(x[:-1] + (alpha(x[-1]),))
-        else:
-            rows.append(x)
-    return Map(alphabet, n, n, rows, validate=False)
+    codes = list(range(alphabet.count(n)))
+    # The rows whose first n - 1 letters are all o are base .. base + k - 1.
+    base = encode((o,) * (n - 1), alphabet, n - 1) * k
+    for a, image in enumerate(alpha.images):
+        codes[base + a] = base + image - 1
+    return Map._unchecked(alphabet, n, n, tuple(codes))
+
+
+def _transposition(alphabet: Alphabet, n: int, i: int, j: int) -> Map:
+    """The map on A^n swapping the tuples encoded i and j."""
+    codes = list(range(alphabet.count(n)))
+    codes[i], codes[j] = j, i
+    return Map._unchecked(alphabet, n, n, tuple(codes))
 
 
 def elementary(alphabet: Alphabet, x: tuple[int, ...],
@@ -42,14 +45,9 @@ def elementary(alphabet: Alphabet, x: tuple[int, ...],
     if x == y:
         raise ShapeError("elementary swap needs two distinct tuples",
                          actual=x)
-    for letter in x + y:
-        alphabet.check_letter(letter)
     n = len(x)
-    rows = list(alphabet.tuples(n))
-    xi = rows.index(x)
-    yi = rows.index(y)
-    rows[xi], rows[yi] = y, x
-    return Map(alphabet, n, n, rows, validate=False)
+    return _transposition(alphabet, n, encode(x, alphabet, n),
+                          encode(y, alphabet, n))
 
 
 def elementary_pair(f: Map) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -57,18 +55,14 @@ def elementary_pair(f: Map) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     else None."""
     if f.arity != f.coarity:
         return None
-    moved = []
-    for x, row in zip(f.alphabet.tuples(f.arity), f.table):
-        if x != row:
-            moved.append((x, row))
-            if len(moved) > 2:
-                return None
+    codes = f.codes
+    moved = [i for i, c in enumerate(codes) if i != c]
     if len(moved) != 2:
         return None
-    (x, fx), (y, fy) = moved
-    if fx == y and fy == x:
-        return (x, y)
-    return None
+    i, j = moved
+    if codes[i] != j or codes[j] != i:
+        return None
+    return (decode(i, f.alphabet, f.arity), decode(j, f.alphabet, f.arity))
 
 
 def is_atomic(f: Map) -> bool:
@@ -85,8 +79,8 @@ def fanout(alphabet: Alphabet, n: int) -> Map:
     if n < 1:
         raise ShapeError("fan-out needs at least one output",
                          expected=">= 1", actual=n)
-    rows = [(a,) * n for a in alphabet.letters()]
-    return Map(alphabet, 1, n, rows, validate=False)
+    return Map._unchecked(alphabet, 1, n, tuple(
+        encode((a,) * n, alphabet, n) for a in alphabet.letters()))
 
 
 def standard_generators(k: int, n: int) -> list[tuple[str, Map]]:

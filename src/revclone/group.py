@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Map, NotBijectiveError, ShapeError, encode, is_bijective
+from .core import Map, NotBijectiveError, ShapeError, _invert, is_bijective
 
 # Symbolic words over the original generators:
 #   ()                empty word
@@ -72,13 +72,6 @@ def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([b[i] for i in a])
 
 
-def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
-    images = [0] * len(a)
-    for i, j in enumerate(a):
-        images[j] = i
-    return tuple(images)
-
-
 class TuplePerm:
     """A permutation of the points 0..degree-1.
 
@@ -124,12 +117,6 @@ class TuplePerm:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def first_moved(self) -> int | None:
-        for i, j in enumerate(self.images):
-            if i != j:
-                return i
-        return None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TuplePerm):
             return NotImplemented
@@ -153,9 +140,7 @@ def from_map(f: Map) -> TuplePerm:
     if f.arity != f.coarity or not is_bijective(f):
         raise NotBijectiveError(
             f"map of shape ({f.arity},{f.coarity}) is not a balanced bijection")
-    n = f.arity
-    return TuplePerm._unchecked(
-        tuple(encode(row, f.alphabet, n) for row in f.table))
+    return TuplePerm._unchecked(f.codes)
 
 
 def sign(p: TuplePerm) -> int:

@@ -21,7 +21,7 @@ def random_map(rng: random.Random, alphabet: Alphabet, arity: int,
     k = alphabet.size
     rows = [tuple(rng.randint(1, k) for _ in range(coarity))
             for _ in range(alphabet.count(arity))]
-    return Map(alphabet, arity, coarity, rows, validate=False)
+    return Map(alphabet, arity, coarity, rows)
 
 
 def _rand_perm(rng: random.Random, degree: int) -> Perm:

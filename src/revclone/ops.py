@@ -6,15 +6,18 @@ bar_zeta), variable identification and dummy introduction (delta, nabla),
 wire permutations (pi), component selection (select), and constant
 insertion (insert) with the combined reduct.
 
-All operations are total over validated inputs and materialize the result
-table; there is no lazy or symbolic composition.
+All operations are total over validated inputs and compute the result's
+output codes by integer arithmetic on the operands' codes: juxtaposition
+and composition combine codes, input rearrangements gather rows through
+one index helper and output rearrangements relabel codes through another.
+There is no lazy or symbolic composition.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import Alphabet, Map, Perm, ShapeError, encode
+from .core import Alphabet, Map, Perm, ShapeError, identity_map
 
 
 def _require_same_alphabet(f: Map, g: Map) -> None:
@@ -23,16 +26,52 @@ def _require_same_alphabet(f: Map, g: Map) -> None:
                          expected=f.alphabet.size, actual=g.alphabet.size)
 
 
+def _place_values(size: int, n: int) -> list[int]:
+    """The weight of each position of an n-letter tuple in its encoding."""
+    return [size ** (n - 1 - p) for p in range(n)]
+
+
+def _linear_indices(size: int, weights, offset: int = 0) -> list[int]:
+    """offset + sum_q (x_q - 1) * weights[q] for every letter tuple x of
+    length len(weights), in encoding order."""
+    indices = [offset]
+    for w in weights:
+        steps = [d * w for d in range(size)]
+        indices = [i + s for i in indices for s in steps]
+    return indices
+
+
+def _pull_inputs(f: Map, weights, offset: int = 0) -> Map:
+    """Rearrange f's inputs: the result reads len(weights) inputs, and
+    input q contributes weights[q] per letter step to the encoding of the
+    input f sees (offset encodes any constant inputs)."""
+    codes = f.codes
+    sources = _linear_indices(f.alphabet.size, weights, offset)
+    return Map._unchecked(f.alphabet, len(weights), f.coarity,
+                          tuple([codes[i] for i in sources]))
+
+
+def _pick_outputs(f: Map, theta: tuple[int, ...]) -> Map:
+    """Output component j of the result is f's component theta[j]
+    (1-based); repetitions and omissions are allowed."""
+    size = f.alphabet.size
+    weights = [0] * f.coarity
+    for w, t in zip(_place_values(size, len(theta)), theta):
+        weights[t - 1] += w
+    relabel = _linear_indices(size, weights)
+    return Map._unchecked(f.alphabet, f.arity, len(theta),
+                          tuple([relabel[c] for c in f.codes]))
+
+
 def oplus(f: Map, g: Map) -> Map:
     """Place f and g next to one another: f reads the first arity(f)
     inputs, g the rest; outputs are concatenated f-first."""
     _require_same_alphabet(f, g)
-    rows = []
-    for frow in f.table:
-        for grow in g.table:
-            rows.append(frow + grow)
-    return Map(f.alphabet, f.arity + g.arity, f.coarity + g.coarity,
-               rows, validate=False)
+    scale = f.alphabet.count(g.coarity)
+    gcodes = g.codes
+    codes = [fc * scale + gc for fc in f.codes for gc in gcodes]
+    return Map._unchecked(f.alphabet, f.arity + g.arity,
+                          f.coarity + g.coarity, tuple(codes))
 
 
 def compose_k(f: Map, g: Map, k: int) -> Map:
@@ -50,56 +89,35 @@ def compose_k(f: Map, g: Map, k: int) -> Map:
             "compose_k out of range",
             expected=f"0 <= k <= min(arity f = {f.arity}, coarity g = {g.coarity})",
             actual=k)
-    pad = f.arity - k
     alphabet = f.alphabet
-    size = alphabet.size
-    ftable = f.table
-    rows = []
-    if pad == 0:
-        for grow in g.table:
-            index = 0
-            for v in grow[:k]:
-                index = index * size + v - 1
-            rows.append(ftable[index] + grow[k:])
+    pad = alphabet.count(f.arity - k)
+    tail = alphabet.count(g.coarity - k)
+    fcodes = f.codes
+    # g's output code splits into the f input prefix (head) and the
+    # unconsumed outputs (rest); each of the pad rows of f under that
+    # prefix gives one row.  A single row (pad == 1) needs no slice.
+    if pad == 1:
+        codes = [fcodes[gc // tail] * tail + gc % tail for gc in g.codes]
     else:
-        pad_count = alphabet.count(pad)
-        for grow in g.table:
-            tail = grow[k:]
-            base = 0
-            for v in grow[:k]:
-                base = base * size + v - 1
-            base *= pad_count
-            for offset in range(pad_count):
-                rows.append(ftable[base + offset] + tail)
-    return Map(alphabet, f.arity + g.arity - k, f.coarity + g.coarity - k,
-               rows, validate=False)
+        codes = [fc * tail + rest
+                 for head, rest in [divmod(gc, tail) for gc in g.codes]
+                 for fc in fcodes[head * pad:(head + 1) * pad]]
+    return Map._unchecked(alphabet, f.arity + g.arity - k,
+                          f.coarity + g.coarity - k, tuple(codes))
 
 
 def bullet(f: Map, g: Map) -> Map:
     """Greedy composition: compose_k with k = min(arity f, coarity g)."""
-    _require_same_alphabet(f, g)
     return compose_k(f, g, min(f.arity, g.coarity))
-
-
-def _pull_inputs(f: Map, rearranged) -> Map:
-    """Table of x -> f(rearranged(x)) for a fixed input rearrangement."""
-    alphabet = f.alphabet
-    size = alphabet.size
-    ftable = f.table
-    rows = []
-    for x in alphabet.tuple_list(f.arity):
-        index = 0
-        for v in rearranged(x):
-            index = index * size + v - 1
-        rows.append(ftable[index])
-    return Map(alphabet, f.arity, f.coarity, rows, validate=False)
 
 
 def tau(f: Map) -> Map:
     """Swap the first two inputs; identity when arity < 2."""
     if f.arity < 2:
         return f
-    return _pull_inputs(f, lambda x: (x[1], x[0]) + x[2:])
+    weights = _place_values(f.alphabet.size, f.arity)
+    weights[0], weights[1] = weights[1], weights[0]
+    return _pull_inputs(f, weights)
 
 
 def zeta(f: Map) -> Map:
@@ -107,15 +125,15 @@ def zeta(f: Map) -> Map:
     identity when arity < 2."""
     if f.arity < 2:
         return f
-    return _pull_inputs(f, lambda x: x[1:] + (x[0],))
+    weights = _place_values(f.alphabet.size, f.arity)
+    return _pull_inputs(f, weights[-1:] + weights[:-1])
 
 
 def bar_tau(f: Map) -> Map:
     """Swap the first two outputs; identity when coarity < 2."""
     if f.coarity < 2:
         return f
-    rows = [(row[1], row[0]) + row[2:] for row in f.table]
-    return Map(f.alphabet, f.arity, f.coarity, rows, validate=False)
+    return _pick_outputs(f, (2, 1) + tuple(range(3, f.coarity + 1)))
 
 
 def bar_zeta(f: Map) -> Map:
@@ -123,41 +141,30 @@ def bar_zeta(f: Map) -> Map:
     when coarity < 2."""
     if f.coarity < 2:
         return f
-    rows = [row[1:] + (row[0],) for row in f.table]
-    return Map(f.alphabet, f.arity, f.coarity, rows, validate=False)
+    return _pick_outputs(f, tuple(range(2, f.coarity + 1)) + (1,))
 
 
 def delta(f: Map) -> Map:
     """Identify the first two inputs; identity when arity < 2."""
     if f.arity < 2:
         return f
-    alphabet = f.alphabet
-    size = alphabet.size
-    ftable = f.table
-    rows = []
-    for x in alphabet.tuple_list(f.arity - 1):
-        index = x[0] - 1
-        for v in x:
-            index = index * size + v - 1
-        rows.append(ftable[index])
-    return Map(alphabet, f.arity - 1, f.coarity, rows, validate=False)
+    weights = _place_values(f.alphabet.size, f.arity)
+    return _pull_inputs(f, [weights[0] + weights[1]] + weights[2:])
 
 
 def nabla(f: Map) -> Map:
     """Introduce a dummy first input."""
-    alphabet = f.alphabet
-    rows = f.table * alphabet.size
-    return Map(alphabet, f.arity + 1, f.coarity, rows, validate=False)
+    return Map._unchecked(f.alphabet, f.arity + 1, f.coarity,
+                          f.codes * f.alphabet.size)
 
 
 def pi(alphabet: Alphabet, alpha: Perm) -> Map:
     """The wire permutation pi_alpha: output position j carries input
     alpha^{-1}(j), so the letter on wire i moves to wire alpha(i)."""
     n = alpha.degree
-    inv = alpha.inverse()
-    sources = tuple(inv(j) - 1 for j in range(1, n + 1))
-    rows = [tuple(x[i] for i in sources) for x in alphabet.tuple_list(n)]
-    return Map(alphabet, n, n, rows, validate=False)
+    place = _place_values(alphabet.size, n)
+    return _pull_inputs(identity_map(alphabet, n),
+                        [place[alpha(q) - 1] for q in range(1, n + 1)])
 
 
 def _check_selection(theta: Sequence[int], coarity: int,
@@ -175,17 +182,13 @@ def _check_selection(theta: Sequence[int], coarity: int,
 def select(theta: Sequence[int], f: Map) -> Map:
     """Keep the output components named by theta, in theta's order.
     Indices must be distinct."""
-    theta = _check_selection(theta, f.coarity, distinct=True)
-    rows = [tuple(row[t - 1] for t in theta) for row in f.table]
-    return Map(f.alphabet, f.arity, len(theta), rows, validate=False)
+    return _pick_outputs(f, _check_selection(theta, f.coarity, distinct=True))
 
 
 def select_multi(theta: Sequence[int], f: Map) -> Map:
     """Like select but repetitions are permitted, so components can be
     duplicated: select_multi((1, 1), i_1) is the fan-out."""
-    theta = _check_selection(theta, f.coarity, distinct=False)
-    rows = [tuple(row[t - 1] for t in theta) for row in f.table]
-    return Map(f.alphabet, f.arity, len(theta), rows, validate=False)
+    return _pick_outputs(f, _check_selection(theta, f.coarity, distinct=False))
 
 
 def insert(positions: Iterable[int], constants: Sequence[int], f: Map) -> Map:
@@ -208,18 +211,11 @@ def insert(positions: Iterable[int], constants: Sequence[int], f: Map) -> Map:
                              expected=f"1..{f.arity}", actual=p)
     for a in constants:
         f.alphabet.check_letter(a)
+    place = _place_values(f.alphabet.size, f.arity)
     fixed = dict(zip(positions, constants))
-    slots = [fixed.get(p) for p in range(1, f.arity + 1)]
-    free = [i for i, v in enumerate(slots) if v is None]
-    alphabet = f.alphabet
-    rows = []
-    for x in alphabet.tuples(f.arity - len(positions)):
-        y = list(slots)
-        for i, letter in zip(free, x):
-            y[i] = letter
-        rows.append(f.table[encode(tuple(y), alphabet, f.arity)])
-    return Map(alphabet, f.arity - len(positions), f.coarity, rows,
-               validate=False)
+    offset = sum((fixed[p] - 1) * place[p - 1] for p in positions)
+    return _pull_inputs(f, [w for p, w in enumerate(place, start=1)
+                            if p not in fixed], offset)
 
 
 def reduct(f: Map, theta_prime: Iterable[int], theta: Sequence[int],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import gates, ops
 from .core import Alphabet, Map, NotBijectiveError, Perm, ShapeError, \
-    decode, encode, is_bijective
+    encode, is_bijective
 from .circuit import Bullet, IdLit, Netlist, Oplus, PiLit, Stage, Term, \
     TgLit, letter_spec, netlist_to_term, perm_from_spec, pi_spec, \
     simulate, spec_degree
@@ -64,28 +64,24 @@ def embed(g: Map, o: int = 1) -> Embedding:
     alphabet.check_letter(o)
     k = alphabet.size
     m, n = g.arity, g.coarity
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for x, row in zip(alphabet.tuples(m), g.table):
-        buckets.setdefault(encode(row, alphabet, n), []).append(x)
+    buckets: dict[int, list[int]] = {}
+    for x, code in enumerate(g.codes):
+        buckets.setdefault(code, []).append(x)
     largest = max(len(b) for b in buckets.values())
     r = max(m, n + _ceil_log(k, largest))
-    total = alphabet.count(r)
-    assigned: dict[int, tuple[int, ...]] = {}
-    used_outputs: set[int] = set()
-    tail = (o,) * (r - m)
-    for a_index in sorted(buckets):
-        a = decode(a_index, alphabet, n)
-        for i, x in enumerate(buckets[a_index]):
-            out = a + decode(i, alphabet, r - n)
-            assigned[encode(x + tail, alphabet, r)] = out
-            used_outputs.add(encode(out, alphabet, r))
-    free_outputs = (decode(i, alphabet, r) for i in range(total)
-                    if i not in used_outputs)
-    rows = []
-    for index in range(total):
-        row = assigned.get(index)
-        rows.append(row if row is not None else next(free_outputs))
-    f = Map(alphabet, r, r, rows, validate=False)
+    # Input (x, o, ..., o) has index x * spread + tail; output (a, tag)
+    # has code a * tags + tag.
+    spread = alphabet.count(r - m)
+    tail = encode((o,) * (r - m), alphabet, r - m)
+    tags = alphabet.count(r - n)
+    codes: list[int | None] = [None] * alphabet.count(r)
+    for a in sorted(buckets):
+        for tag, x in enumerate(buckets[a]):
+            codes[x * spread + tail] = a * tags + tag
+    used = set(codes)
+    free_outputs = (c for c in range(len(codes)) if c not in used)
+    codes = [c if c is not None else next(free_outputs) for c in codes]
+    f = Map._unchecked(alphabet, r, r, tuple(codes))
     return Embedding(r, f, o, tuple(range(1, m + 1)), tuple(range(1, n + 1)))
 
 
@@ -94,28 +90,18 @@ def embed(g: Map, o: int = 1) -> Embedding:
 def decompose_elementary(f: Map) -> list[Map]:
     """Elementary tuple swaps whose product, applied in list order,
     equals f.  The identity gives the empty list."""
-    if f.arity != f.coarity or not is_bijective(f):
-        raise NotBijectiveError("only balanced bijections factor into swaps")
-    alphabet = f.alphabet
-    n = f.arity
-    perm = from_map(f)
+    images = from_map(f).images
     out: list[Map] = []
-    seen = [False] * perm.degree
-    for start in range(perm.degree):
-        if seen[start] or perm.act(start) == start:
-            seen[start] = True
+    seen = [False] * len(images)
+    for start, image in enumerate(images):
+        if seen[start] or image == start:
             continue
-        cycle = [start]
-        seen[start] = True
-        point = perm.act(start)
+        point = image
         while point != start:
-            cycle.append(point)
             seen[point] = True
-            point = perm.act(point)
-        anchor = decode(cycle[0], alphabet, n)
-        for other in cycle[1:]:
-            out.append(gates.elementary(alphabet, anchor,
-                                        decode(other, alphabet, n)))
+            out.append(gates._transposition(f.alphabet, f.arity, start,
+                                            point))
+            point = images[point]
     return out
 
 

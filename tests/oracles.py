@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they are used to check:
 brute-force group enumeration by breadth-first products, sequential
-application of map lists, plain random-table generation, and saturation
-that combines every dequeued map with every kept map.
+application of map lists, plain random-table generation, saturation
+that combines every dequeued map with every kept map, and pointwise
+definitions of the composition operations on letter tuples.
 """
 
 import random
@@ -11,7 +12,7 @@ from collections import deque
 
 from revclone import ops
 from revclone.closure import GeneratorSet, SaturationResult
-from revclone.core import Alphabet, Map, evaluate, identity_map
+from revclone.core import Alphabet, Map, Perm, evaluate, identity_map
 
 
 def bfs_group_elements(gens, degree: int) -> set[tuple[int, ...]]:
@@ -114,3 +115,101 @@ def all_pairs_saturate(generators, caps, with_delta_nabla=False,
             if overflowed:
                 break
     return SaturationResult(tuple(elems), capped, overflowed)
+
+
+# -- pointwise definitions of the operations in revclone.ops ---------------
+# Each builds its result row by row from evaluations of the operands on
+# letter tuples, the way the paper defines the operation.
+
+def _pointwise(f: Map, arity: int, coarity: int, fn) -> Map:
+    return Map.from_function(f.alphabet, arity, coarity, fn)
+
+
+def oplus_def(f: Map, g: Map) -> Map:
+    return _pointwise(f, f.arity + g.arity, f.coarity + g.coarity,
+                      lambda x: evaluate(f, x[:f.arity])
+                      + evaluate(g, x[f.arity:]))
+
+
+def compose_k_def(f: Map, g: Map, k: int) -> Map:
+    def fn(x):
+        y = evaluate(g, x[:g.arity])
+        return evaluate(f, y[:k] + x[g.arity:]) + y[k:]
+
+    return _pointwise(f, f.arity + g.arity - k, f.coarity + g.coarity - k,
+                      fn)
+
+
+def bullet_def(f: Map, g: Map) -> Map:
+    return compose_k_def(f, g, min(f.arity, g.coarity))
+
+
+def _rearrange_inputs(f: Map, rearranged) -> Map:
+    if f.arity < 2:
+        return f
+    return _pointwise(f, f.arity, f.coarity,
+                      lambda x: evaluate(f, rearranged(x)))
+
+
+def _rearrange_outputs(f: Map, rearranged) -> Map:
+    if f.coarity < 2:
+        return f
+    return _pointwise(f, f.arity, f.coarity,
+                      lambda x: rearranged(evaluate(f, x)))
+
+
+def tau_def(f: Map) -> Map:
+    return _rearrange_inputs(f, lambda x: (x[1], x[0]) + x[2:])
+
+
+def zeta_def(f: Map) -> Map:
+    return _rearrange_inputs(f, lambda x: x[1:] + x[:1])
+
+
+def bar_tau_def(f: Map) -> Map:
+    return _rearrange_outputs(f, lambda y: (y[1], y[0]) + y[2:])
+
+
+def bar_zeta_def(f: Map) -> Map:
+    return _rearrange_outputs(f, lambda y: y[1:] + y[:1])
+
+
+def delta_def(f: Map) -> Map:
+    if f.arity < 2:
+        return f
+    return _pointwise(f, f.arity - 1, f.coarity,
+                      lambda x: evaluate(f, x[:1] + x))
+
+
+def nabla_def(f: Map) -> Map:
+    return _pointwise(f, f.arity + 1, f.coarity,
+                      lambda x: evaluate(f, x[1:]))
+
+
+def pi_def(alphabet: Alphabet, alpha: Perm) -> Map:
+    """The letter on wire i moves to wire alpha(i)."""
+    def fn(x):
+        y = [0] * len(x)
+        for i, letter in enumerate(x, start=1):
+            y[alpha(i) - 1] = letter
+        return tuple(y)
+
+    n = alpha.degree
+    return Map.from_function(alphabet, n, n, fn)
+
+
+def select_def(theta, f: Map) -> Map:
+    """Also the definition of select_multi."""
+    return _pointwise(f, f.arity, len(theta),
+                      lambda x: tuple(evaluate(f, x)[t - 1] for t in theta))
+
+
+def insert_def(positions, constants, f: Map) -> Map:
+    fixed = dict(zip(positions, constants))
+
+    def fn(x):
+        free = iter(x)
+        return evaluate(f, tuple(fixed[p] if p in fixed else next(free)
+                                 for p in range(1, f.arity + 1)))
+
+    return _pointwise(f, f.arity - len(positions), f.coarity, fn)

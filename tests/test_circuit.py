@@ -215,6 +215,24 @@ def test_netlist_text_errors():
         parse_netlist("alphabet 2\nwires 2\ntg 1 (1,2) 1 @ 1 2\n")
     with pytest.raises(MapStyleError, match=r"line 3: .*like \(1,2\)"):
         parse_netlist("alphabet 2\nwires 2\nu 1,2 @ 1\n")
+    header = "alphabet 2\nwires 2\n"
+    for text, line in [
+            ("wires\n", 1),
+            ("alphabet\n", 1),
+            ("wires x\n", 1),
+            ("alphabet two\nwires 2\n", 1),
+            ("alphabet 0\nwires 2\n", 1),
+            ("wires -1\n", 1),
+            (header + "@ 1\n", 3),
+            (header + "tg x (1,2) 1 @ 1 2\n", 3),
+            (header + "tg 2 (1,2) y @ 1 2\n", 3),
+            (header + "tg 2 (1,2) 1 @ 1 x\n", 3),
+            (header + "tg 2 (1,2) 3 @ 1 2\n", 3),
+            (header + "u (1,2) @ 3\n", 3),
+            (header + "u (1,2) @ 1 2\n", 3),
+            (header + "pi (1,2) @ 1 1\n", 3)]:
+        with pytest.raises(MapStyleError, match=rf"^line {line}: "):
+            parse_netlist(text)
     with pytest.raises(ShapeError):
         Netlist(2, (Stage("u", Perm.from_cycles([(1, 2)]), None, (3,)),))
 

@@ -9,6 +9,7 @@ from revclone.ops import (bar_tau, bar_zeta, bullet, compose_k, delta,
                           insert, nabla, oplus, pi, reduct, select,
                           select_multi, tau, zeta)
 
+import oracles
 from oracles import random_bijection, random_table_map, residue_map
 
 A2 = Alphabet(2)
@@ -298,3 +299,54 @@ def test_bijections_closed_under_read_once_ops():
     # delta and nabla break bijectivity in general
     assert not is_bijective(delta(identity_map(A2, 2)))
     assert not is_bijective(nabla(identity_map(A2, 1)))
+
+
+def _random_perm(rng, degree):
+    images = list(range(1, degree + 1))
+    rng.shuffle(images)
+    return Perm(tuple(images))
+
+
+def test_ops_match_pointwise_definitions():
+    """Every operation equals its pointwise definition on seeded random
+    operands: alphabet sizes 2..4, arities and co-arities 0..3 (each
+    combination occurs), compose_k for every width from 0 up."""
+    rng = random.Random(20)
+    shapes = set()
+    for trial in range(240):
+        alphabet = Alphabet(2 + trial % 3)
+        k = alphabet.size
+        f = random_table_map(rng, alphabet, rng.randint(0, 3),
+                             rng.randint(0, 3))
+        g = random_table_map(rng, alphabet, rng.randint(0, 3),
+                             rng.randint(0, 3))
+        shapes.update((k, m.arity, m.coarity) for m in (f, g))
+        assert Map(alphabet, f.arity, f.coarity, f.table).table == f.table
+        assert oplus(f, g) == oracles.oplus_def(f, g)
+        for width in range(min(f.arity, g.coarity) + 1):
+            assert compose_k(f, g, width) == oracles.compose_k_def(f, g, width)
+        assert bullet(f, g) == oracles.bullet_def(f, g)
+        for op, op_def in ((tau, oracles.tau_def), (zeta, oracles.zeta_def),
+                           (bar_tau, oracles.bar_tau_def),
+                           (bar_zeta, oracles.bar_zeta_def),
+                           (delta, oracles.delta_def),
+                           (nabla, oracles.nabla_def)):
+            assert op(f) == op_def(f), op.__name__
+        n = rng.randint(0, 3)
+        alpha = _random_perm(rng, n)
+        assert pi(alphabet, alpha) == oracles.pi_def(alphabet, alpha)
+        theta = tuple(rng.sample(range(1, f.coarity + 1),
+                                 rng.randint(0, f.coarity)))
+        assert select(theta, f) == oracles.select_def(theta, f)
+        if f.coarity:
+            theta = tuple(rng.choice(range(1, f.coarity + 1))
+                          for _ in range(rng.randint(0, 4)))
+            assert select_multi(theta, f) == oracles.select_def(theta, f)
+        positions = tuple(sorted(rng.sample(range(1, f.arity + 1),
+                                            rng.randint(0, f.arity))))
+        constants = tuple(rng.randint(1, k) for _ in positions)
+        assert (insert(positions, constants, f)
+                == oracles.insert_def(positions, constants, f))
+    assert shapes == {(k, arity, coarity) for k in (2, 3, 4)
+                      for arity in range(4) for coarity in range(4)}
+

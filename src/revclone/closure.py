@@ -11,7 +11,7 @@ predicate.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -84,6 +84,40 @@ class SearchCaps:
 
 
 @dataclass(frozen=True)
+class SaturationStats:
+    """The work one saturation did.
+
+    Every seed and every application is one candidate.  A candidate whose
+    shape exceeds the caps is a shape rejection and its table is never
+    built; every other application builds a table (``built_unary``,
+    ``built_oplus`` or ``built_compose``), and each seed within the caps
+    and each built table is then a duplicate, a budget rejection or kept.
+    ``stop`` is "closed", or the budget that ended the search: "size" or
+    "depth".
+    """
+
+    dequeued: int
+    pairs: int
+    built_unary: int
+    built_oplus: int
+    built_compose: int
+    duplicates: int
+    shape_rejected: int
+    budget_rejected: int
+    kept: int
+    stop: str
+
+    @property
+    def built(self) -> int:
+        return self.built_unary + self.built_oplus + self.built_compose
+
+    @property
+    def admit_ratio(self) -> float:
+        """Maps kept (seeds included) per table built."""
+        return self.kept / self.built if self.built else 0.0
+
+
+@dataclass(frozen=True)
 class SaturationResult:
     """Maps reached by bounded saturation, in deterministic insertion
     order.
@@ -91,12 +125,14 @@ class SaturationResult:
     ``capped`` records that some application was rejected for exceeding
     the shape caps (so the infinite closure is under-approximated beyond
     them); ``overflowed`` records that the element or depth budget ran out,
-    in which case even in-cap shapes may be missing.
+    in which case even in-cap shapes may be missing.  ``stats`` counts the
+    work done; it takes no part in comparisons.
     """
 
     maps: tuple[Map, ...]
     capped: bool
     overflowed: bool
+    stats: SaturationStats | None = field(default=None, compare=False)
 
     def map_set(self) -> frozenset[Map]:
         return frozenset(self.maps)
@@ -148,55 +184,83 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
     unordered pair of elements (an element with itself included) is
     combined once, by the first of the two to be dequeued after both were
     reached; a dequeued element meets its partners in first-reached order,
-    with a fixed operation order per pair.  A composite whose shape
+    with a fixed operation order per pair.  A candidate whose shape
     exceeds the caps sets ``capped`` without its table being built.
+    Pairs are combined on raw output codes, every candidate is
+    deduplicated on its (arity, coarity, codes) key, and a Map is made
+    only for an element kept.
+    The result's ``stats`` count the work done and why the search stopped.
     """
     gen_set = GeneratorSet.of(generators, alphabet)
     alphabet = gen_set.alphabet
     seeds = [identity_map(alphabet, 1)]
     seeds.extend(gen_set.maps)
+    oplus_codes, compose_codes = ops._oplus_codes, ops._compose_codes
+    max_arity, max_coarity = caps.max_arity, caps.max_coarity
+    max_size, max_depth = caps.max_size, caps.max_depth
+    # power[e] == k^e for every exponent a composite within the caps uses.
+    power = [alphabet.count(e) for e in range(max(max_arity, max_coarity) + 1)]
 
     # elems is also the breadth-first queue: elems[i] is dequeued once
     # every earlier element has been.
     elems: list[Map] = []
-    seen: set[Map] = set()
+    seen: set[tuple[int, int, tuple[int, ...]]] = set()
     depths: list[int] = []  # depths[i] is the depth of elems[i]
     # pairs_upto[i]: len(elems) when elems[i] was paired, so elems[i] has
     # been combined with exactly the elements before that index.
     pairs_upto: list[int] = []
     capped = False
     overflowed = False
+    stop = "closed"
+    dequeued = pairs = built_unary = built_oplus = built_compose = 0
+    duplicates = shape_rejected = budget_rejected = 0
 
-    def admit(m: Map, d: int) -> bool:
-        nonlocal capped, overflowed
-        if not caps.admits(m.arity, m.coarity):
-            capped = True
-            return False
-        if m in seen:
-            return False
-        if len(elems) >= caps.max_size:
+    def admit(arity: int, coarity: int, codes: tuple[int, ...],
+              d: int) -> None:
+        """Keep a candidate that fits the caps, unless it was reached
+        before or a budget has run out."""
+        nonlocal overflowed, stop, duplicates, budget_rejected
+        key = (arity, coarity, codes)
+        if key in seen:
+            duplicates += 1
+        elif len(elems) >= max_size or (max_depth is not None
+                                        and d > max_depth):
+            if not overflowed:
+                stop = "size" if len(elems) >= max_size else "depth"
             overflowed = True
-            return False
-        if caps.max_depth is not None and d > caps.max_depth:
-            overflowed = True
-            return False
-        seen.add(m)
-        depths.append(d)
-        elems.append(m)
-        return True
+            budget_rejected += 1
+        else:
+            seen.add(key)
+            depths.append(d)
+            elems.append(Map._unchecked(alphabet, arity, coarity, codes))
 
     for seed in seeds:
-        admit(seed, 0)
+        if caps.admits(seed.arity, seed.coarity):
+            admit(seed.arity, seed.coarity, seed.codes, 0)
+        else:
+            capped = True
+            shape_rejected += 1
 
     i = 0
     while i < len(elems) and not overflowed:
         x = elems[i]
+        xa, xc, xcodes = x.arity, x.coarity, x.codes
         d = depths[i] + 1
-        admit(ops.tau(x), d)
-        admit(ops.zeta(x), d)
+        dequeued += 1
+        # tau, zeta and delta keep x's shape or drop an input, so their
+        # results fit the caps; nabla adds an input, so its shape is
+        # checked before it is built.
+        unary = [ops.tau(x), ops.zeta(x)]
         if with_delta_nabla:
-            admit(ops.delta(x), d)
-            admit(ops.nabla(x), d)
+            unary.append(ops.delta(x))
+            if xa < max_arity:
+                unary.append(ops.nabla(x))
+            else:
+                capped = True
+                shape_rejected += 1
+        built_unary += len(unary)
+        for m in unary:
+            admit(m.arity, m.coarity, m.codes, d)
         n = len(elems)
         pairs_upto.append(n)
         # Earlier elements j with i < pairs_upto[j] were already combined
@@ -208,29 +272,49 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
             break
         for j in chain(range(j0), range(i, n)):
             y = elems[j]
+            ya, yc, ycodes = y.arity, y.coarity, y.codes
             dy = max(d, depths[j] + 1)
-            arity, coarity = x.arity + y.arity, x.coarity + y.coarity
-            # The self-pair (j == i) skips the reversed builds: they would
-            # repeat the forward ones, which are seen or set the same flag.
-            if caps.admits(arity, coarity):
-                admit(ops.oplus(x, y), dy)
-                if j != i:
-                    admit(ops.oplus(y, x), dy)
-            else:
-                capped = True
+            arity, coarity = xa + ya, xc + yc
+            pairs += 1
             # Either composite along k wires has shape (arity - k,
             # coarity - k), which exceeds the caps for k < k_lo; such a k
-            # exists only when the oplus shape was rejected just above.
-            k_lo = max(1, arity - caps.max_arity, coarity - caps.max_coarity)
-            for k in range(k_lo, min(x.arity, y.coarity) + 1):
-                admit(ops.compose_k(x, y, k), dy)
+            # exists only when the oplus shape exceeds them too.
+            k_lo = max(1, arity - max_arity, coarity - max_coarity)
+            # The self-pair (j == i) skips the reversed builds: they would
+            # repeat the forward ones, which are seen or set the same flag.
+            if arity <= max_arity and coarity <= max_coarity:
+                admit(arity, coarity, oplus_codes(xcodes, ycodes, power[yc]),
+                      dy)
+                built_oplus += 1
+                if j != i:
+                    admit(arity, coarity,
+                          oplus_codes(ycodes, xcodes, power[xc]), dy)
+                    built_oplus += 1
+            else:
+                capped = True
+                shape_rejected += 1 + min(k_lo - 1, xa, yc)
+                if j != i:
+                    shape_rejected += 1 + min(k_lo - 1, ya, xc)
+            for k in range(k_lo, min(xa, yc) + 1):
+                admit(arity - k, coarity - k,
+                      compose_codes(xcodes, power[xa - k], ycodes,
+                                    power[yc - k]), dy)
+                built_compose += 1
             if j != i:
-                for k in range(k_lo, min(y.arity, x.coarity) + 1):
-                    admit(ops.compose_k(y, x, k), dy)
+                for k in range(k_lo, min(ya, xc) + 1):
+                    admit(arity - k, coarity - k,
+                          compose_codes(ycodes, power[ya - k], xcodes,
+                                        power[xc - k]), dy)
+                    built_compose += 1
             if overflowed:
                 break
         i += 1
-    return SaturationResult(tuple(elems), capped, overflowed)
+    stats = SaturationStats(
+        dequeued=dequeued, pairs=pairs, built_unary=built_unary,
+        built_oplus=built_oplus, built_compose=built_compose,
+        duplicates=duplicates, shape_rejected=shape_rejected,
+        budget_rejected=budget_rejected, kept=len(elems), stop=stop)
+    return SaturationResult(tuple(elems), capped, overflowed, stats)
 
 
 def op_K(maps: Iterable[Map]) -> tuple[Map, ...]:

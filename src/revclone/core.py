@@ -181,6 +181,9 @@ class Perm:
         return -1 if flips % 2 else 1
 
 
+# The largest table, in entries, that the module-level memos keep.
+_MEMO_LIMIT = 4096
+
 _TUPLE_LIST_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
@@ -189,7 +192,7 @@ def _tuple_list(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     cached = _TUPLE_LIST_CACHE.get(key)
     if cached is None:
         cached = tuple(itertools.product(range(1, k + 1), repeat=n))
-        if k ** n <= 4096:
+        if k ** n <= _MEMO_LIMIT:
             _TUPLE_LIST_CACHE[key] = cached
     return cached
 

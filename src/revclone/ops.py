@@ -8,16 +8,21 @@ insertion (insert) with the combined reduct.
 
 All operations are total over validated inputs and compute the result's
 output codes by integer arithmetic on the operands' codes: juxtaposition
-and composition combine codes, input rearrangements gather rows through
-one index helper and output rearrangements relabel codes through another.
-There is no lazy or symbolic composition.
+and composition combine codes (through the code kernels _oplus_codes and
+_compose_codes, which saturation also calls directly), input
+rearrangements gather rows through one index helper and output
+rearrangements relabel codes through another.  There is no lazy or
+symbolic composition.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import Alphabet, Map, Perm, ShapeError, identity_map
+from .core import _MEMO_LIMIT, Alphabet, Map, Perm, ShapeError, \
+    identity_map
+
+_INDEX_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 
 
 def _require_same_alphabet(f: Map, g: Map) -> None:
@@ -31,13 +36,20 @@ def _place_values(size: int, n: int) -> list[int]:
     return [size ** (n - 1 - p) for p in range(n)]
 
 
-def _linear_indices(size: int, weights, offset: int = 0) -> list[int]:
-    """offset + sum_q (x_q - 1) * weights[q] for every letter tuple x of
-    length len(weights), in encoding order."""
-    indices = [offset]
-    for w in weights:
-        steps = [d * w for d in range(size)]
-        indices = [i + s for i in indices for s in steps]
+def _linear_indices(size: int, weights) -> tuple[int, ...]:
+    """sum_q (x_q - 1) * weights[q] for every letter tuple x of length
+    len(weights), in encoding order.  Lists of at most _MEMO_LIMIT entries
+    are memoised, since the same few shapes recur across calls."""
+    key = (size, tuple(weights))
+    indices = _INDEX_CACHE.get(key)
+    if indices is None:
+        indices = [0]
+        for w in weights:
+            steps = [d * w for d in range(size)]
+            indices = [i + s for i in indices for s in steps]
+        indices = tuple(indices)
+        if len(indices) <= _MEMO_LIMIT:
+            _INDEX_CACHE[key] = indices
     return indices
 
 
@@ -45,8 +57,9 @@ def _pull_inputs(f: Map, weights, offset: int = 0) -> Map:
     """Rearrange f's inputs: the result reads len(weights) inputs, and
     input q contributes weights[q] per letter step to the encoding of the
     input f sees (offset encodes any constant inputs)."""
-    codes = f.codes
-    sources = _linear_indices(f.alphabet.size, weights, offset)
+    # Every source index is at least offset, so gather from the tail.
+    codes = f.codes[offset:] if offset else f.codes
+    sources = _linear_indices(f.alphabet.size, weights)
     return Map._unchecked(f.alphabet, len(weights), f.coarity,
                           tuple([codes[i] for i in sources]))
 
@@ -63,15 +76,32 @@ def _pick_outputs(f: Map, theta: tuple[int, ...]) -> Map:
                           tuple([relabel[c] for c in f.codes]))
 
 
+def _oplus_codes(fcodes, gcodes, scale: int) -> tuple[int, ...]:
+    """The codes of f oplus g, where scale is k^coarity(g)."""
+    return tuple([fc * scale + gc for fc in fcodes for gc in gcodes])
+
+
+def _compose_codes(fcodes, pad: int, gcodes, tail: int) -> tuple[int, ...]:
+    """The codes of compose_k(f, g, k), where pad is k^(arity f - k) and
+    tail is k^(coarity g - k)."""
+    # g's output code splits into the f input prefix (head) and the
+    # unconsumed outputs (rest); each of the pad rows of f under that
+    # prefix gives one row.  A single row (pad == 1) needs no slice.
+    if pad == 1:
+        return tuple([fcodes[gc // tail] * tail + gc % tail for gc in gcodes])
+    return tuple([fc * tail + rest
+                  for head, rest in [divmod(gc, tail) for gc in gcodes]
+                  for fc in fcodes[head * pad:(head + 1) * pad]])
+
+
 def oplus(f: Map, g: Map) -> Map:
     """Place f and g next to one another: f reads the first arity(f)
     inputs, g the rest; outputs are concatenated f-first."""
     _require_same_alphabet(f, g)
-    scale = f.alphabet.count(g.coarity)
-    gcodes = g.codes
-    codes = [fc * scale + gc for fc in f.codes for gc in gcodes]
     return Map._unchecked(f.alphabet, f.arity + g.arity,
-                          f.coarity + g.coarity, tuple(codes))
+                          f.coarity + g.coarity,
+                          _oplus_codes(f.codes, g.codes,
+                                       f.alphabet.count(g.coarity)))
 
 
 def compose_k(f: Map, g: Map, k: int) -> Map:
@@ -90,20 +120,11 @@ def compose_k(f: Map, g: Map, k: int) -> Map:
             expected=f"0 <= k <= min(arity f = {f.arity}, coarity g = {g.coarity})",
             actual=k)
     alphabet = f.alphabet
-    pad = alphabet.count(f.arity - k)
-    tail = alphabet.count(g.coarity - k)
-    fcodes = f.codes
-    # g's output code splits into the f input prefix (head) and the
-    # unconsumed outputs (rest); each of the pad rows of f under that
-    # prefix gives one row.  A single row (pad == 1) needs no slice.
-    if pad == 1:
-        codes = [fcodes[gc // tail] * tail + gc % tail for gc in g.codes]
-    else:
-        codes = [fc * tail + rest
-                 for head, rest in [divmod(gc, tail) for gc in g.codes]
-                 for fc in fcodes[head * pad:(head + 1) * pad]]
     return Map._unchecked(alphabet, f.arity + g.arity - k,
-                          f.coarity + g.coarity - k, tuple(codes))
+                          f.coarity + g.coarity - k,
+                          _compose_codes(f.codes, alphabet.count(f.arity - k),
+                                         g.codes,
+                                         alphabet.count(g.coarity - k)))
 
 
 def bullet(f: Map, g: Map) -> Map:

@@ -92,6 +92,11 @@ SATURATION_CASES = {
                        SearchCaps(2, 2, 100000), True),
     "k3-delta-nabla": ([("u", tg(1, SWAP3, 1))], SearchCaps(2, 3, 400),
                        True),
+    # maps with equal codes but different co-arities: oplus(one, i_1) and
+    # the projection both have codes (0, 1, 0, 1)
+    "k2-constant-proj": ([("one", Map(A2, 1, 1, [(1,), (1,)])),
+                          ("proj", nabla(identity_map(A2, 1)))],
+                         SearchCaps(2, 2, 100000), False),
     "k2-size-overflow": ([("g", tg(2, SWAP2, 1))], SearchCaps(3, 3, 100),
                          False),
     # overflows on tau of the second map dequeued, before its pairs
@@ -108,23 +113,80 @@ def test_saturate_matches_all_pairs_oracle(name, monkeypatch):
     gens, caps, dn = SATURATION_CASES[name]
     expected = all_pairs_saturate(gens, caps, with_delta_nabla=dn)
     built = []
-    compose_k = ops.compose_k
+    compose_codes = ops._compose_codes
 
-    def recording_compose_k(f, g, k):
-        m = compose_k(f, g, k)
-        built.append((id(f), id(g), k, m.arity, m.coarity))
-        return m
+    def recording_compose_codes(fcodes, pad, gcodes, tail):
+        built.append((id(fcodes), pad, id(gcodes), tail))
+        return compose_codes(fcodes, pad, gcodes, tail)
 
-    monkeypatch.setattr(ops, "compose_k", recording_compose_k)
+    monkeypatch.setattr(ops, "_compose_codes", recording_compose_codes)
     got = saturate(gens, caps, with_delta_nabla=dn)
     assert got.maps == expected.maps
     assert (got.capped, got.overflowed) == (expected.capped,
                                             expected.overflowed)
     # each pair of maps is combined once, and composites of out-of-cap
-    # shape are flagged, never built
-    pairs = [call[:3] for call in built]
+    # shape are flagged, never built; saturate passes the codes of kept
+    # maps, so each call names its operands and k
+    by_codes = {id(m.codes): m for m in got.maps}
+    assert len(by_codes) == len(got.maps)
+    size = got.maps[0].alphabet.size
+    pairs = []
+    for fid, pad, gid, tail in built:
+        f, g = by_codes[fid], by_codes[gid]
+        k = next(k for k in range(f.arity + 1) if size ** (f.arity - k) == pad)
+        assert tail == size ** (g.coarity - k)
+        assert caps.admits(f.arity + g.arity - k, f.coarity + g.coarity - k)
+        pairs.append((fid, gid, k))
     assert pairs and len(set(pairs)) == len(pairs)
-    assert all(caps.admits(*call[3:]) for call in built)
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_CASES))
+def test_saturate_stats_account_for_every_candidate(name):
+    gens, caps, dn = SATURATION_CASES[name]
+    expected = all_pairs_saturate(gens, caps, with_delta_nabla=dn)
+    stats = saturate(gens, caps, with_delta_nabla=dn).stats
+    kept = len(expected.maps)
+    assert stats.kept == kept
+    assert (stats.shape_rejected > 0) == expected.capped
+    assert (stats.budget_rejected > 0) == expected.overflowed
+    if not expected.overflowed:
+        stop = "closed"
+    elif kept == caps.max_size:
+        stop = "size"
+    else:
+        stop = "depth"
+    assert stats.stop == stop
+    # every seed fits these caps; each seed and each built table is kept,
+    # a duplicate or a budget rejection
+    gen_set = GeneratorSet.of(gens)
+    seeds = [identity_map(gen_set.alphabet, 1), *gen_set.maps]
+    assert all(caps.admits(m.arity, m.coarity) for m in seeds)
+    assert stats.built == (stats.built_unary + stats.built_oplus
+                           + stats.built_compose)
+    assert len(seeds) + stats.built == (stats.kept + stats.duplicates
+                                        + stats.budget_rejected)
+    assert stats.admit_ratio == stats.kept / stats.built
+    assert 0 < stats.dequeued <= kept
+    unary_per_map = (3, 4) if dn else (2, 2)
+    assert (unary_per_map[0] * stats.dequeued <= stats.built_unary
+            <= unary_per_map[1] * stats.dequeued)
+    if stop == "closed":
+        # each unordered pair, self-pairs included, is combined once, so
+        # every ordered pair of kept maps meets in oplus and compose_k
+        assert stats.dequeued == kept
+        assert stats.pairs == kept * (kept + 1) // 2
+        fits = [caps.admits(f.arity + g.arity - k, f.coarity + g.coarity - k)
+                for f in expected.maps for g in expected.maps
+                for k in range(min(f.arity, g.coarity) + 1)]
+        oplus_fits = sum(caps.admits(f.arity + g.arity, f.coarity + g.coarity)
+                         for f in expected.maps for g in expected.maps)
+        nabla_fits = sum(f.arity < caps.max_arity for f in expected.maps)
+        assert stats.built_oplus == oplus_fits
+        assert stats.built_compose == sum(fits) - oplus_fits
+        assert stats.built_unary == (2 * kept + (kept + nabla_fits if dn
+                                                 else 0))
+        assert stats.shape_rejected == (len(fits) - sum(fits)
+                                        + (kept - nabla_fits if dn else 0))
 
 
 def test_saturate_oracle_cases_cover_every_stop():

@@ -38,15 +38,20 @@ def test_tracer_installs_runs_and_uninstalls(mode):
     tracer.install(revclone)
     try:
         sat = revclone.saturate([gate], SearchCaps(2, 2, 200))
+        # saturate combines raw codes, so the public ops and Map hashing
+        # are exercised by direct calls
+        composite = revclone.compose_k(gate, gate, 1)
+        assert composite in {gate, composite}
     finally:
         tracer.uninstall()
     assert sat.maps
+    assert sat.stats.kept == len(sat.maps)
     if mode == "counts":
         assert set(tracer.calls) == {metric for *_, metric in tracing.COUNTED}
         assert tracer.calls["core.map_hash_eq"] > 0
     else:
         assert tracer.calls["closure.saturate"] == 1
-        assert tracer.calls["ops.compose_k"] > 0
+        assert tracer.calls["ops.compose_k"] == 1
         assert tracer.rows["ops.compose_k"] > 0
         assert tracer.saturate_kept == len(sat.maps)
     assert revclone.saturate is saturate

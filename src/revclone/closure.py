@@ -93,7 +93,10 @@ class SaturationStats:
     ``built_oplus`` or ``built_compose``), and each seed within the caps
     and each built table is then a duplicate, a budget rejection or kept.
     ``stop`` is "closed", or the budget that ended the search: "size" or
-    "depth".
+    "depth".  ``depth`` is that of the deepest kept map: seeds have depth
+    0 and an application is one deeper than its deepest operand.
+    ``pairs_skipped`` counts the pairs whose shapes fit no table, so that
+    combining them built nothing.
     """
 
     dequeued: int
@@ -106,6 +109,8 @@ class SaturationStats:
     budget_rejected: int
     kept: int
     stop: str
+    depth: int
+    pairs_skipped: int
 
     @property
     def built(self) -> int:
@@ -188,7 +193,13 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
     exceeds the caps sets ``capped`` without its table being built.
     Pairs are combined on raw output codes, every candidate is
     deduplicated on its (arity, coarity, codes) key, and a Map is made
-    only for an element kept.
+    only for an element kept.  What a pair builds depends on the
+    partners' shapes alone, so it is planned once per dequeued element
+    and partner shape.  A composite is an index gather of the inner
+    map's codes out of the outer map's codes, or out of a table lifted
+    from them once per dequeued element, unless the dequeued element is
+    the inner map and keeps some of its outputs; that one is built row by
+    row.
     The result's ``stats`` count the work done and why the search stopped.
     """
     gen_set = GeneratorSet.of(generators, alphabet)
@@ -196,23 +207,29 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
     seeds = [identity_map(alphabet, 1)]
     seeds.extend(gen_set.maps)
     oplus_codes, compose_codes = ops._oplus_codes, ops._compose_codes
+    gatherer, lift_codes = ops._gatherer, ops._lift_codes
     max_arity, max_coarity = caps.max_arity, caps.max_coarity
     max_size, max_depth = caps.max_size, caps.max_depth
     # power[e] == k^e for every exponent a composite within the caps uses.
     power = [alphabet.count(e) for e in range(max(max_arity, max_coarity) + 1)]
 
     # elems is also the breadth-first queue: elems[i] is dequeued once
-    # every earlier element has been.
+    # every earlier element has been.  shapes[i] and depths[i] are its
+    # (arity, coarity) and depth, and gathers[i][e] is its gather for pad
+    # k^e (see gather).
     elems: list[Map] = []
+    shapes: list[tuple[int, int]] = []
+    depths: list[int] = []
+    gathers: list[list] = []
     seen: set[tuple[int, int, tuple[int, ...]]] = set()
-    depths: list[int] = []  # depths[i] is the depth of elems[i]
     # pairs_upto[i]: len(elems) when elems[i] was paired, so elems[i] has
     # been combined with exactly the elements before that index.
     pairs_upto: list[int] = []
     capped = False
     overflowed = False
     stop = "closed"
-    dequeued = pairs = built_unary = built_oplus = built_compose = 0
+    dequeued = pairs = pairs_skipped = 0
+    built_unary = built_oplus = built_compose = 0
     duplicates = shape_rejected = budget_rejected = 0
 
     def admit(arity: int, coarity: int, codes: tuple[int, ...],
@@ -231,8 +248,58 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
             budget_rejected += 1
         else:
             seen.add(key)
+            shapes.append((arity, coarity))
             depths.append(d)
+            gathers.append([None] * (max_arity + 1))
             elems.append(Map._unchecked(alphabet, arity, coarity, codes))
+
+    def gather(j: int, e: int):
+        """ops._gatherer(elems[j].codes, k^e), made once per call."""
+        g = gathers[j][e]
+        if g is None:
+            g = gathers[j][e] = gatherer(elems[j].codes, power[e])
+        return g
+
+    def lifted(e: int, t: int) -> tuple[int, ...]:
+        """x's table for composites with pad k^e and tail k^t."""
+        if t == 0:
+            return xcodes
+        table = lifts.get((e, t))
+        if table is None:
+            table = lifts[e, t] = lift_codes(xcodes, power[e], power[t])
+        return table
+
+    def plan(ya: int, yc: int, self_pair: bool) -> tuple:
+        """What pairing x with a partner of shape (ya, yc) builds: the
+        oplus shape and the partner's oplus scale, the number of oplus
+        tables, the shape rejections, the composites x after y as (arity,
+        coarity, pad exponent, x's table) and y after x as (arity,
+        coarity, gather or None, pad, tail), and the tables built."""
+        arity, coarity = xa + ya, xc + yc
+        # Either composite along k wires has shape (arity - k, coarity -
+        # k), which exceeds the caps for k < k_lo; such a k exists only
+        # when the oplus shape exceeds them too.
+        k_lo = max(1, arity - max_arity, coarity - max_coarity)
+        forward = tuple(
+            (arity - k, coarity - k, xa - k, lifted(xa - k, yc - k))
+            for k in range(k_lo, min(xa, yc) + 1))
+        # y after x consumes all of x's outputs only for k == xc; then it
+        # is x's gather applied to y's codes.  The self-pair skips the
+        # reversed builds: they would repeat the forward ones, which are
+        # seen or set the same flag.
+        reverse = () if self_pair else tuple(
+            (arity - k, coarity - k, gather(i, ya - k) if k == xc else None,
+             power[ya - k], power[xc - k])
+            for k in range(k_lo, min(ya, xc) + 1))
+        if arity <= max_arity and coarity <= max_coarity:
+            n_oplus, rejected = (1 if self_pair else 2), 0
+        else:
+            n_oplus = 0
+            rejected = 1 + min(k_lo - 1, xa, yc)
+            if not self_pair:
+                rejected += 1 + min(k_lo - 1, ya, xc)
+        return (arity, coarity, power[yc], n_oplus, rejected, forward,
+                reverse, n_oplus + len(forward) + len(reverse))
 
     for seed in seeds:
         if caps.admits(seed.arity, seed.coarity):
@@ -244,7 +311,8 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
     i = 0
     while i < len(elems) and not overflowed:
         x = elems[i]
-        xa, xc, xcodes = x.arity, x.coarity, x.codes
+        xa, xc = shapes[i]
+        xcodes = x.codes
         d = depths[i] + 1
         dequeued += 1
         # tau, zeta and delta keep x's shape or drop an input, so their
@@ -270,42 +338,38 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
             # A unary result overflowed, so the search ends after x's
             # first pair, (x, elems[0]), which was combined before.
             break
+        # Plans and lifted tables depend on x: they last for its pairs.
+        plans: dict[tuple[int, int], tuple] = {}
+        lifts: dict[tuple[int, int], tuple[int, ...]] = {}
         for j in chain(range(j0), range(i, n)):
-            y = elems[j]
-            ya, yc, ycodes = y.arity, y.coarity, y.codes
-            dy = max(d, depths[j] + 1)
-            arity, coarity = xa + ya, xc + yc
+            if j == i:
+                p = plan(xa, xc, True)
+            else:
+                p = plans.get(shapes[j])
+                if p is None:
+                    p = plans[shapes[j]] = plan(*shapes[j], False)
+            a, c, scale, n_oplus, rejected, forward, reverse, tables = p
             pairs += 1
-            # Either composite along k wires has shape (arity - k,
-            # coarity - k), which exceeds the caps for k < k_lo; such a k
-            # exists only when the oplus shape exceeds them too.
-            k_lo = max(1, arity - max_arity, coarity - max_coarity)
-            # The self-pair (j == i) skips the reversed builds: they would
-            # repeat the forward ones, which are seen or set the same flag.
-            if arity <= max_arity and coarity <= max_coarity:
-                admit(arity, coarity, oplus_codes(xcodes, ycodes, power[yc]),
-                      dy)
-                built_oplus += 1
-                if j != i:
-                    admit(arity, coarity,
-                          oplus_codes(ycodes, xcodes, power[xc]), dy)
-                    built_oplus += 1
+            if not tables:
+                pairs_skipped += 1
+            ycodes = elems[j].codes
+            dy = depths[j] + 1
+            if dy < d:
+                dy = d
+            if n_oplus:
+                admit(a, c, oplus_codes(xcodes, ycodes, scale), dy)
+                if n_oplus == 2:
+                    admit(a, c, oplus_codes(ycodes, xcodes, power[xc]), dy)
             else:
                 capped = True
-                shape_rejected += 1 + min(k_lo - 1, xa, yc)
-                if j != i:
-                    shape_rejected += 1 + min(k_lo - 1, ya, xc)
-            for k in range(k_lo, min(xa, yc) + 1):
-                admit(arity - k, coarity - k,
-                      compose_codes(xcodes, power[xa - k], ycodes,
-                                    power[yc - k]), dy)
-                built_compose += 1
-            if j != i:
-                for k in range(k_lo, min(ya, xc) + 1):
-                    admit(arity - k, coarity - k,
-                          compose_codes(ycodes, power[ya - k], xcodes,
-                                        power[xc - k]), dy)
-                    built_compose += 1
+                shape_rejected += rejected
+            for fa, fc, e, table in forward:
+                admit(fa, fc, gather(j, e)(table), dy)
+            for ra, rc, g, pad, tail in reverse:
+                admit(ra, rc, compose_codes(ycodes, pad, xcodes, tail)
+                      if g is None else g(ycodes), dy)
+            built_oplus += n_oplus
+            built_compose += tables - n_oplus
             if overflowed:
                 break
         i += 1
@@ -313,7 +377,8 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
         dequeued=dequeued, pairs=pairs, built_unary=built_unary,
         built_oplus=built_oplus, built_compose=built_compose,
         duplicates=duplicates, shape_rejected=shape_rejected,
-        budget_rejected=budget_rejected, kept=len(elems), stop=stop)
+        budget_rejected=budget_rejected, kept=len(elems), stop=stop,
+        depth=max(depths), pairs_skipped=pairs_skipped)
     return SaturationResult(tuple(elems), capped, overflowed, stats)
 
 
@@ -431,7 +496,8 @@ def check_realisation(g: Map, generators, caps: SearchCaps,
             return RealisationResult("isomorphic", g, (), theta, False)
     sat = saturate(gen_set, caps)
     bounded = sat.capped or sat.overflowed
-    if iso is None and g in sat.map_set():
+    if iso is None and any(f.codes == g.codes and f.arity == m
+                           and f.coarity == n for f in sat.maps):
         return RealisationResult("isomorphic", g, (), theta, bounded)
 
     def scan(want_coarity: int | None, want_arity: int | None):
@@ -557,12 +623,15 @@ def function_set(generators, caps: SearchCaps,
     order."""
     sat = saturate(generators, caps, alphabet=alphabet)
     out: list[Map] = []
-    seen: set[Map] = set()
+    # A function's codes determine it: their count fixes the arity.
+    seen: set[tuple[int, ...]] = set()
     for f in sat.maps:
         if f.coarity < 1:
             continue
-        g = ops.select((1,), f)
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
+        # The first component's code is the leading digit of f's code.
+        drop = f.alphabet.count(f.coarity - 1)
+        first = f.codes if drop == 1 else tuple([c // drop for c in f.codes])
+        if first not in seen:
+            seen.add(first)
+            out.append(Map._unchecked(f.alphabet, f.arity, 1, first))
     return tuple(out)

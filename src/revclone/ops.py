@@ -8,15 +8,18 @@ insertion (insert) with the combined reduct.
 
 All operations are total over validated inputs and compute the result's
 output codes by integer arithmetic on the operands' codes: juxtaposition
-and composition combine codes (through the code kernels _oplus_codes and
-_compose_codes, which saturation also calls directly), input
-rearrangements gather rows through one index helper and output
-rearrangements relabel codes through another.  There is no lazy or
-symbolic composition.
+and composition combine codes through the code kernels _oplus_codes and
+_compose_codes, input rearrangements gather rows through one index helper
+and output rearrangements relabel codes through another.  A full
+composition is one C-level gather of f's codes at g's codes (_gatherer);
+saturation reuses those gathers, and the tables _lift_codes spreads for
+partial compositions, across the many pairs that share an operand.
+There is no lazy or symbolic composition.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .core import _MEMO_LIMIT, Alphabet, Map, Perm, ShapeError, \
@@ -81,12 +84,39 @@ def _oplus_codes(fcodes, gcodes, scale: int) -> tuple[int, ...]:
     return tuple([fc * scale + gc for fc in fcodes for gc in gcodes])
 
 
+def _gatherer(gcodes, pad: int):
+    """The gather that composes any f of the right shape with g: applied
+    to f's codes, or to _lift_codes(f's codes, pad, tail) when g leaves
+    outputs unconsumed, it returns the codes of compose_k(f, g, k), where
+    pad is k^(arity f - k) and tail is k^(coarity g - k).  The table must
+    be a tuple."""
+    indices = gcodes if pad == 1 else \
+        [gc * pad + r for gc in gcodes for r in range(pad)]
+    if len(indices) == 1:
+        # itemgetter of one index returns the item, not a 1-tuple
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
+
+
+def _lift_codes(fcodes, pad: int, tail: int) -> tuple[int, ...]:
+    """f's codes spread over g's unconsumed outputs: entry gc * pad + r is
+    the code of the composite row that reads g's output code gc and f's
+    remaining input r (see _gatherer)."""
+    return tuple([fc * tail + rest
+                  for head in range(0, len(fcodes), pad)
+                  for rest in range(tail)
+                  for fc in fcodes[head:head + pad]])
+
+
 def _compose_codes(fcodes, pad: int, gcodes, tail: int) -> tuple[int, ...]:
     """The codes of compose_k(f, g, k), where pad is k^(arity f - k) and
     tail is k^(coarity g - k)."""
+    if pad == tail == 1:
+        return _gatherer(gcodes, 1)(fcodes)
     # g's output code splits into the f input prefix (head) and the
     # unconsumed outputs (rest); each of the pad rows of f under that
-    # prefix gives one row.  A single row (pad == 1) needs no slice.
+    # prefix gives one row.  A single row (pad == 1) needs no slice.  A
+    # one-shot gather would first have to build _lift_codes' table.
     if pad == 1:
         return tuple([fcodes[gc // tail] * tail + gc % tail for gc in gcodes])
     return tuple([fc * tail + rest

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they are used to check:
 brute-force group enumeration by breadth-first products, sequential
 application of map lists, plain random-table generation, saturation
-that combines every dequeued map with every kept map, and pointwise
+that combines every dequeued map with every kept map, first components
+made with the public select and deduplicated as Maps, and pointwise
 definitions of the composition operations on letter tuples.
 """
 
@@ -11,7 +12,7 @@ import random
 from collections import deque
 
 from revclone import ops
-from revclone.closure import GeneratorSet, SaturationResult
+from revclone.closure import GeneratorSet, SaturationResult, saturate
 from revclone.core import Alphabet, Map, Perm, evaluate, identity_map
 
 
@@ -67,10 +68,11 @@ def residue_map(alphabet: Alphabet, arity: int, coarity: int, fn) -> Map:
 
 
 def all_pairs_saturate(generators, caps, with_delta_nabla=False,
-                       alphabet=None) -> SaturationResult:
+                       alphabet=None, depths=None) -> SaturationResult:
     """Bounded saturation that pairs each dequeued map with every map kept
     so far (so most pairs are combined twice, once in each role) and
-    builds every composite before the caps reject its shape."""
+    builds every composite before the caps reject its shape.  A list
+    passed as ``depths`` receives the depth of each kept map."""
     gen_set = GeneratorSet.of(generators, alphabet)
     seeds = [identity_map(gen_set.alphabet, 1), *gen_set.maps]
     elems, seen, depth, queue = [], set(), {}, deque()
@@ -114,7 +116,23 @@ def all_pairs_saturate(generators, caps, with_delta_nabla=False,
                 admit(ops.compose_k(y, x, k), dy)
             if overflowed:
                 break
+    if depths is not None:
+        depths.extend(depth[m] for m in elems)
     return SaturationResult(tuple(elems), capped, overflowed)
+
+
+def select_function_set(generators, caps, alphabet=None) -> tuple[Map, ...]:
+    """First components of the bounded closure, made with the public
+    select and deduplicated as Maps, in saturation order."""
+    out, seen = [], set()
+    for f in saturate(generators, caps, alphabet=alphabet).maps:
+        if f.coarity < 1:
+            continue
+        g = ops.select((1,), f)
+        if g not in seen:
+            seen.add(g)
+            out.append(g)
+    return tuple(out)
 
 
 # -- pointwise definitions of the operations in revclone.ops ---------------

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,7 +17,7 @@ from revclone.group import from_map
 from revclone.ops import nabla, oplus, pi, select
 
 from oracles import all_pairs_saturate, bfs_group_elements, \
-    random_bijection, random_table_map, residue_map
+    random_bijection, random_table_map, residue_map, select_function_set
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -97,6 +99,14 @@ SATURATION_CASES = {
     "k2-constant-proj": ([("one", Map(A2, 1, 1, [(1,), (1,)])),
                           ("proj", nabla(identity_map(A2, 1)))],
                          SearchCaps(2, 2, 100000), False),
+    # a one-row, arity-0 generator: composites read its single code
+    "k2-constant-arity0": ([("c", Map(A2, 0, 1, [(2,)])),
+                            ("g", tg(2, SWAP2, 1))],
+                           SearchCaps(2, 3, 100000), False),
+    # composites with unconsumed inputs (pad > 1) and outputs (tail > 1)
+    # in both directions
+    "k3-tg2-wide": ([("g", tg(2, CYCLE3, 1))], SearchCaps(3, 3, 1500),
+                    False),
     "k2-size-overflow": ([("g", tg(2, SWAP2, 1))], SearchCaps(3, 3, 100),
                          False),
     # overflows on tau of the second map dequeued, before its pairs
@@ -108,44 +118,127 @@ SATURATION_CASES = {
 }
 
 
+def record_builds(monkeypatch) -> list[tuple]:
+    """Record every composite table saturate builds, as (id of f's codes,
+    pad, id of g's codes, tail, kernel), where compose_k(f, g, k) has pad
+    k^(arity f - k) and tail k^(coarity g - k).  Saturate gathers g's
+    codes (ops._gatherer) out of f's codes or out of a table lifted from
+    them (ops._lift_codes), or calls ops._compose_codes."""
+    built = []
+    lifted = {}  # id of a lifted table -> (id of f's codes, pad, tail)
+    keep = []  # lifted tables stay alive, so their ids stay unique
+    gatherer, lift_codes = ops._gatherer, ops._lift_codes
+    compose_codes = ops._compose_codes
+
+    def recording_gatherer(gcodes, pad):
+        gather = gatherer(gcodes, pad)
+
+        def recording_gather(table):
+            fid, lift_pad, tail = lifted.get(id(table), (id(table), pad, 1))
+            assert lift_pad == pad
+            built.append((fid, pad, id(gcodes), tail, "gather"))
+            return gather(table)
+
+        return recording_gather
+
+    def recording_lift_codes(fcodes, pad, tail):
+        table = lift_codes(fcodes, pad, tail)
+        keep.append(table)
+        lifted[id(table)] = (id(fcodes), pad, tail)
+        return table
+
+    def recording_compose_codes(fcodes, pad, gcodes, tail):
+        built.append((id(fcodes), pad, id(gcodes), tail, "comprehension"))
+        return compose_codes(fcodes, pad, gcodes, tail)
+
+    monkeypatch.setattr(ops, "_gatherer", recording_gatherer)
+    monkeypatch.setattr(ops, "_lift_codes", recording_lift_codes)
+    monkeypatch.setattr(ops, "_compose_codes", recording_compose_codes)
+    return built
+
+
+def composites_built(sat, built) -> list[tuple[Map, Map, int, str]]:
+    """The recorded builds as (f, g, k, kernel).  Saturate passes the
+    codes of kept maps, so each build names its operands."""
+    by_codes = {id(m.codes): m for m in sat.maps}
+    assert len(by_codes) == len(sat.maps)
+    size = sat.maps[0].alphabet.size
+    out = []
+    for fid, pad, gid, tail, kernel in built:
+        f, g = by_codes[fid], by_codes[gid]
+        k = next(k for k in range(f.arity + 1) if size ** (f.arity - k) == pad)
+        assert tail == size ** (g.coarity - k)
+        out.append((f, g, k, kernel))
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(SATURATION_CASES))
 def test_saturate_matches_all_pairs_oracle(name, monkeypatch):
     gens, caps, dn = SATURATION_CASES[name]
     expected = all_pairs_saturate(gens, caps, with_delta_nabla=dn)
-    built = []
-    compose_codes = ops._compose_codes
-
-    def recording_compose_codes(fcodes, pad, gcodes, tail):
-        built.append((id(fcodes), pad, id(gcodes), tail))
-        return compose_codes(fcodes, pad, gcodes, tail)
-
-    monkeypatch.setattr(ops, "_compose_codes", recording_compose_codes)
+    built = record_builds(monkeypatch)
     got = saturate(gens, caps, with_delta_nabla=dn)
     assert got.maps == expected.maps
     assert (got.capped, got.overflowed) == (expected.capped,
                                             expected.overflowed)
     # each pair of maps is combined once, and composites of out-of-cap
-    # shape are flagged, never built; saturate passes the codes of kept
-    # maps, so each call names its operands and k
-    by_codes = {id(m.codes): m for m in got.maps}
-    assert len(by_codes) == len(got.maps)
-    size = got.maps[0].alphabet.size
+    # shape are flagged, never built
+    composites = composites_built(got, built)
     pairs = []
-    for fid, pad, gid, tail in built:
-        f, g = by_codes[fid], by_codes[gid]
-        k = next(k for k in range(f.arity + 1) if size ** (f.arity - k) == pad)
-        assert tail == size ** (g.coarity - k)
+    for f, g, k, _ in composites:
         assert caps.admits(f.arity + g.arity - k, f.coarity + g.coarity - k)
-        pairs.append((fid, gid, k))
+        pairs.append((id(f), id(g), k))
     assert pairs and len(set(pairs)) == len(pairs)
+    assert len(pairs) == got.stats.built_compose
+
+
+def test_saturate_oracle_cases_cover_every_composite_kernel(monkeypatch):
+    # (kernel, pad > 1, tail > 1, g has one row) over every case
+    seen = set()
+    for gens, caps, dn in SATURATION_CASES.values():
+        with monkeypatch.context() as patch:
+            built = record_builds(patch)
+            sat = saturate(gens, caps, with_delta_nabla=dn)
+        seen.update((kernel, f.arity > k, g.coarity > k, g.arity == 0)
+                    for f, g, k, kernel in composites_built(sat, built))
+    for pad, tail in itertools.product((False, True), repeat=2):
+        assert ("gather", pad, tail, False) in seen
+    assert ("gather", False, False, True) in seen
+    # the comprehension builds y after x when y leaves outputs of x
+    # unconsumed
+    assert {("comprehension", False, True, False),
+            ("comprehension", True, True, False)} <= seen
+    assert all(tail for kernel, _, tail, _ in seen
+               if kernel == "comprehension")
+
+
+def test_saturate_retains_nothing_across_calls():
+    # a finished call leaves nothing behind: no memo of plans, gathers or
+    # lifted tables outlives it (the module-level index memo is warmed by
+    # the first call, whose maps have the same shapes)
+    caps = SearchCaps(3, 3, 1500)
+    saturate([("g", tg(2, CYCLE3, 1))], caps)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        saturate([("g", tg(2, CYCLE3, 2))], caps)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 @pytest.mark.parametrize("name", sorted(SATURATION_CASES))
 def test_saturate_stats_account_for_every_candidate(name):
     gens, caps, dn = SATURATION_CASES[name]
-    expected = all_pairs_saturate(gens, caps, with_delta_nabla=dn)
+    depths = []
+    expected = all_pairs_saturate(gens, caps, with_delta_nabla=dn,
+                                  depths=depths)
     stats = saturate(gens, caps, with_delta_nabla=dn).stats
     kept = len(expected.maps)
+    assert stats.depth == max(depths)
     assert stats.kept == kept
     assert (stats.shape_rejected > 0) == expected.capped
     assert (stats.budget_rejected > 0) == expected.overflowed
@@ -156,6 +249,9 @@ def test_saturate_stats_account_for_every_candidate(name):
     else:
         stop = "depth"
     assert stats.stop == stop
+    if stop == "depth":
+        assert stats.depth == caps.max_depth
+    assert 0 <= stats.pairs_skipped <= stats.pairs
     # every seed fits these caps; each seed and each built table is kept,
     # a duplicate or a budget rejection
     gen_set = GeneratorSet.of(gens)
@@ -187,6 +283,17 @@ def test_saturate_stats_account_for_every_candidate(name):
                                                  else 0))
         assert stats.shape_rejected == (len(fits) - sum(fits)
                                         + (kept - nabla_fits if dn else 0))
+
+        # a pair is skipped when neither order fits any composite or oplus
+        def builds(f, g):
+            return any(caps.admits(f.arity + g.arity - k,
+                                   f.coarity + g.coarity - k)
+                       for k in range(min(f.arity, g.coarity) + 1))
+
+        maps = expected.maps
+        assert stats.pairs_skipped == sum(
+            not builds(f, g) and not builds(g, f)
+            for a, f in enumerate(maps) for g in maps[a:])
 
 
 def test_saturate_oracle_cases_cover_every_stop():
@@ -396,6 +503,12 @@ def test_search_temp_storage_not_found_is_capped():
                                 [("u", tg(1, swap3, 1))], caps)
     assert found.verdict == "not-found"
     assert found.capped
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_CASES))
+def test_function_set_matches_select_oracle(name):
+    gens, caps, _ = SATURATION_CASES[name]
+    assert function_set(gens, caps) == select_function_set(gens, caps)
 
 
 def test_function_set_balance():

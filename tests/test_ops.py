@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from revclone import ops
 from revclone.core import (Alphabet, Map, Perm, ShapeError, evaluate,
                            identity_map, inverse, is_bijective)
 from revclone.gates import fanout, tg
@@ -350,3 +351,29 @@ def test_ops_match_pointwise_definitions():
     assert shapes == {(k, arity, coarity) for k in (2, 3, 4)
                       for arity in range(4) for coarity in range(4)}
 
+
+
+def test_composite_gathers_match_the_compose_kernel():
+    """The gathers saturation builds composites with: g's gather applied
+    to f's codes, or to f's codes lifted for g's unconsumed outputs,
+    gives the composite's codes for every width, one-row operands
+    included."""
+    rng = random.Random(21)
+    cases = set()
+    for trial in range(240):
+        alphabet = Alphabet(2 + trial % 3)
+        f = random_table_map(rng, alphabet, rng.randint(0, 3),
+                             rng.randint(0, 3))
+        g = random_table_map(rng, alphabet, rng.randint(0, 3),
+                             rng.randint(0, 3))
+        for width in range(min(f.arity, g.coarity) + 1):
+            pad = alphabet.count(f.arity - width)
+            tail = alphabet.count(g.coarity - width)
+            table = f.codes if tail == 1 else \
+                ops._lift_codes(f.codes, pad, tail)
+            got = ops._gatherer(g.codes, pad)(table)
+            assert type(got) is tuple
+            assert got == oracles.compose_k_def(f, g, width).codes
+            cases.add((pad > 1, tail > 1, g.arity == 0))
+    assert cases == {(p, t, one) for p in (False, True)
+                     for t in (False, True) for one in (False, True)}

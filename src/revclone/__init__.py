@@ -9,7 +9,7 @@ from .core import (Alphabet, Map, MapFormatError, NotBijectiveError, Perm,
 from .ops import (bar_tau, bar_zeta, bullet, compose_k, delta, insert, nabla,
                   oplus, pi, reduct, select, select_multi, tau, zeta)
 from .gates import elementary, fanout, is_atomic, standard_generators, tg
-from .group import TupleGroup, TuplePerm, from_map, sign
+from .group import TupleGroup, TuplePerm, WitnessOverflow, from_map, sign
 from .closure import (GeneratorSet, RealisationResult, SearchCaps,
                       TempStorageSearch, check_realisation,
                       check_temp_storage, function_set, op_K, op_R, op_S,

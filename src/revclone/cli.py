@@ -26,7 +26,7 @@ from .core import (Alphabet, Map, MapFormatError, NotBijectiveError, Perm,
                    ShapeError, format_map, is_balanced, is_bijective,
                    parse_map)
 from .gates import standard_generators, tg
-from .group import from_map
+from .group import WitnessOverflow, from_map
 from .identities import run_identity_suite
 
 EXIT_OK = 0
@@ -198,13 +198,15 @@ def _cmd_member(args) -> int:
     gens = _resolve_generators(args.gen, alphabet)
     group = slice_group(gens, target.arity, alphabet)
     perm = from_map(target)
-    word = group.witness(perm) if args.witness else None
-    contained = group.contains(perm) if word is None else True
-    if args.witness and word is None:
-        contained = False
+    word = None
+    if args.witness:
+        word = group.witness(perm)
+        contained = word is not None
+    else:
+        contained = group.contains(perm)
     report = {"member": contained}
     lines = [f"member: {str(contained).lower()}"]
-    if args.witness and word is not None:
+    if word is not None:
         names = group.witness_names(word)
         report["witness"] = list(names)
         lines.append("witness: " + (" ".join(names) if names else "(empty)"))
@@ -402,7 +404,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except DegreeOverflow as exc:
+    except (DegreeOverflow, WitnessOverflow) as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
     except (MapFormatError, CircuitParseError, MapStyleError, ShapeError,

@@ -385,43 +385,23 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
 def op_K(maps: Iterable[Map]) -> tuple[Map, ...]:
     """Closure under constant insertion, including no insertion:
     every way of fixing a subset of inputs to letters."""
-    out: list[Map] = []
-    seen: set[Map] = set()
-    for f in maps:
-        alphabet = f.alphabet
-        subsets = _increasing_subsets(f.arity)
-        for positions in subsets:
-            for constants in alphabet.tuples(len(positions)):
-                g = ops.insert(positions, constants, f)
-                if g not in seen:
-                    seen.add(g)
-                    out.append(g)
-    return tuple(out)
+    return tuple(dict.fromkeys(
+        ops.insert(positions, constants, f)
+        for f in maps
+        for positions in _increasing_subsets(f.arity)
+        for constants in f.alphabet.tuples(len(positions))))
 
 
 def op_S(maps: Iterable[Map]) -> tuple[Map, ...]:
     """Closure under component selection, including the full selection:
     every repetition-free ordered choice of output components."""
-    out: list[Map] = []
-    seen: set[Map] = set()
-    for f in maps:
-        for theta in _selections(f.coarity):
-            g = ops.select(theta, f)
-            if g not in seen:
-                seen.add(g)
-                out.append(g)
-    return tuple(out)
+    return tuple(dict.fromkeys(
+        ops.select(theta, f) for f in maps for theta in _selections(f.coarity)))
 
 
 def op_R(maps: Iterable[Map]) -> tuple[Map, ...]:
     """Restriction to the bijections."""
-    out: list[Map] = []
-    seen: set[Map] = set()
-    for f in maps:
-        if is_bijective(f) and f not in seen:
-            seen.add(f)
-            out.append(f)
-    return tuple(out)
+    return tuple(dict.fromkeys(f for f in maps if is_bijective(f)))
 
 
 def _increasing_subsets(n: int) -> list[tuple[int, ...]]:

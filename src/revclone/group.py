@@ -25,6 +25,14 @@ from .core import Map, NotBijectiveError, ShapeError, _invert, is_bijective
 #   ("cat", a, b)     word a then word b
 _EMPTY_WORD = ()
 
+# Longest witness word expanded, in generators; deep chains can spell
+# members with words of millions of generators.
+MAX_WITNESS_LEN = 1_000_000
+
+
+class WitnessOverflow(RuntimeError):
+    """A witness word would exceed MAX_WITNESS_LEN generators."""
+
 
 def _cat(a, b):
     if a == _EMPTY_WORD:
@@ -42,7 +50,8 @@ def _inv(w):
 
 def _expand_word(word) -> tuple[int, ...]:
     """Flatten a symbolic word to signed 1-based generator indices,
-    left-to-right application order; negative means inverse."""
+    left-to-right application order; negative means inverse.  Raises
+    WitnessOverflow past MAX_WITNESS_LEN generators."""
     out: list[int] = []
     stack = [(word, False)]
     while stack:
@@ -51,6 +60,9 @@ def _expand_word(word) -> tuple[int, ...]:
             continue
         tag = node[0]
         if tag == "g":
+            if len(out) == MAX_WITNESS_LEN:
+                raise WitnessOverflow(
+                    f"witness word exceeds {MAX_WITNESS_LEN} generators")
             out.append(-(node[1] + 1) if inverted else node[1] + 1)
         elif tag == "inv":
             stack.append((node[1], not inverted))
@@ -257,7 +269,8 @@ class TupleGroup:
         """A word over the generators multiplying (left-to-right
         application) to p, as signed 1-based generator indices; None if p
         is not in the group.  A generator witnesses itself; other words
-        come from the chain transversals and are valid but not minimized.
+        come from the chain transversals and are valid but not minimized;
+        one longer than MAX_WITNESS_LEN raises WitnessOverflow.
         """
         if p.degree != self.degree:
             raise ShapeError("degree mismatch", expected=self.degree,

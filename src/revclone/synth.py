@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import gates, ops
 from .core import Alphabet, Map, NotBijectiveError, Perm, ShapeError, \
-    encode, is_bijective
+    decode, encode, is_bijective
 from .circuit import Bullet, IdLit, Netlist, Oplus, PiLit, Stage, Term, \
     TgLit, letter_spec, netlist_to_term, perm_from_spec, pi_spec, \
     simulate, spec_degree
@@ -87,11 +87,11 @@ def embed(g: Map, o: int = 1) -> Embedding:
 
 # -- elementary / atomic factorization ---------------------------------------
 
-def decompose_elementary(f: Map) -> list[Map]:
-    """Elementary tuple swaps whose product, applied in list order,
-    equals f.  The identity gives the empty list."""
-    images = from_map(f).images
-    out: list[Map] = []
+def _transpositions(images: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Index pairs whose transpositions, applied in list order, multiply
+    to the permutation with these images: each cycle is walked from its
+    smallest point."""
+    out: list[tuple[int, int]] = []
     seen = [False] * len(images)
     for start, image in enumerate(images):
         if seen[start] or image == start:
@@ -99,53 +99,35 @@ def decompose_elementary(f: Map) -> list[Map]:
         point = image
         while point != start:
             seen[point] = True
-            out.append(gates._transposition(f.alphabet, f.arity, start,
-                                            point))
+            out.append((start, point))
             point = images[point]
     return out
 
 
-def elementary_to_atomic(e: Map) -> list[Map]:
-    """Atomic swaps whose product, applied in list order, equals the
-    elementary swap e.  The factor list is the palindrome over the
-    one-coordinate-at-a-time interpolation between the swapped tuples, so
-    its length is 2d - 1 for Hamming distance d."""
-    pair = gates.elementary_pair(e)
-    if pair is None:
-        raise ShapeError("not an elementary permutation")
-    x, y = pair
-    alphabet = e.alphabet
+def _atomic_steps(x: tuple[int, ...], y: tuple[int, ...]
+                  ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Tuple pairs whose atomic swaps, applied in list order, multiply to
+    the swap of x and y: the palindrome over the one-coordinate-at-a-time
+    interpolation from x to y, 2d - 1 steps for Hamming distance d."""
     chain = [x]
     current = list(x)
     for i, (a, b) in enumerate(zip(x, y)):
         if a != b:
             current[i] = b
             chain.append(tuple(current))
-    steps = [gates.elementary(alphabet, u, v)
-             for u, v in zip(chain, chain[1:])]
+    steps = list(zip(chain, chain[1:]))
     return steps + steps[-2::-1]
 
 
-def atomic_to_gates(a: Map, o: int) -> Netlist:
-    """Realize an atomic swap by a controlled gate conjugated by unary
-    gates (and a wire swap when the moved coordinate is not the last).
-
-    Stage order is application order: routing, the unary layer mapping the
-    control letters to o, the controlled gate, then the same layers again.
-    """
-    pair = gates.elementary_pair(a)
-    if pair is None or not gates.is_atomic(a):
-        raise ShapeError("not an atomic permutation")
-    x, y = pair
-    alphabet = a.alphabet
-    alphabet.check_letter(o)
-    k = alphabet.size
-    n = a.arity
+def _swap_stages(x: tuple[int, ...], y: tuple[int, ...], o: int,
+                 k: int) -> list[Stage]:
+    """The stages of atomic_to_gates for the swap of the tuples x and y,
+    which differ in one coordinate."""
+    n = len(x)
     diff = next(i for i in range(n) if x[i] != y[i]) + 1
     if n == 1:
-        stage = Stage("u", Perm.from_cycles([(x[0], y[0])], degree=k),
-                      None, (1,))
-        return Netlist(1, (stage,))
+        return [Stage("u", Perm.from_cycles([(x[0], y[0])], degree=k),
+                      None, (1,))]
     routing: list[Stage] = []
     xr, yr = list(x), list(y)
     if diff != n:
@@ -157,8 +139,39 @@ def atomic_to_gates(a: Map, o: int) -> Netlist:
              for j in range(n - 1) if xr[j] != o]
     core = Stage("tg", Perm.from_cycles([(xr[n - 1], yr[n - 1])], degree=k),
                  o, tuple(range(1, n + 1)))
-    stages = routing + layer + [core] + layer + routing
-    return Netlist(n, tuple(stages))
+    return routing + layer + [core] + layer + routing
+
+
+def decompose_elementary(f: Map) -> list[Map]:
+    """Elementary tuple swaps whose product, applied in list order,
+    equals f.  The identity gives the empty list."""
+    return [gates._transposition(f.alphabet, f.arity, i, j)
+            for i, j in _transpositions(from_map(f).images)]
+
+
+def elementary_to_atomic(e: Map) -> list[Map]:
+    """Atomic swaps whose product, applied in list order, equals the
+    elementary swap e.  The factor list is the palindrome over the
+    one-coordinate-at-a-time interpolation between the swapped tuples, so
+    its length is 2d - 1 for Hamming distance d."""
+    pair = gates.elementary_pair(e)
+    if pair is None:
+        raise ShapeError("not an elementary permutation")
+    return [gates.elementary(e.alphabet, u, v) for u, v in _atomic_steps(*pair)]
+
+
+def atomic_to_gates(a: Map, o: int) -> Netlist:
+    """Realize an atomic swap by a controlled gate conjugated by unary
+    gates (and a wire swap when the moved coordinate is not the last).
+
+    Stage order is application order: routing, the unary layer mapping the
+    control letters to o, the controlled gate, then the same layers again.
+    """
+    pair = gates.elementary_pair(a)
+    if pair is None or sum(u != v for u, v in zip(*pair)) != 1:
+        raise ShapeError("not an atomic permutation")
+    a.alphabet.check_letter(o)
+    return Netlist(a.arity, tuple(_swap_stages(*pair, o, a.alphabet.size)))
 
 
 # -- factoring letter permutations over the swap and the cycle ----------------
@@ -361,59 +374,39 @@ def lift_temp_storage(n_target: int, alpha: Perm, o: int,
 
 # -- end-to-end synthesis --------------------------------------------------------
 
-def _term_stages(term: Term, alphabet: Alphabet, offset: int
+def _term_stages(term: Term, k: int, wires: tuple[int, ...]
                  ) -> tuple[list[Stage], int]:
     """Flatten a stage-shaped term (bullets and juxtapositions of gate and
-    wire-permutation literals) into netlist stages at a wire offset."""
+    wire-permutation literals) into netlist stages whose term wire i is
+    wires[i - 1]; also return the number of wires the term spans."""
     if isinstance(term, IdLit):
         return [], term.n
     if isinstance(term, TgLit):
-        perm = perm_from_spec(term.perm, alphabet.size)
-        wires = tuple(range(offset + 1, offset + term.n + 1))
+        perm = perm_from_spec(term.perm, k)
         if term.n == 1:
-            return [Stage("u", perm, None, wires)], 1
-        return [Stage("tg", perm, term.o, wires)], term.n
+            return [Stage("u", perm, None, wires[:1])], 1
+        return [Stage("tg", perm, term.o, wires[:term.n])], term.n
     if isinstance(term, PiLit):
         d = spec_degree(term.perm)
-        perm = perm_from_spec(term.perm, d)
         swap = Perm.from_cycles([(1, 2)], degree=2)
         stages = []
-        for cycle in perm.cycles():
+        for cycle in perm_from_spec(term.perm, d).cycles():
             for b in cycle[1:]:
                 stages.append(Stage("pi", swap, None,
-                                    (offset + cycle[0], offset + b)))
+                                    (wires[cycle[0] - 1], wires[b - 1])))
         return stages, d
     if isinstance(term, Oplus):
-        left, ln = _term_stages(term.left, alphabet, offset)
-        right, rn = _term_stages(term.right, alphabet, offset + ln)
+        left, ln = _term_stages(term.left, k, wires)
+        right, rn = _term_stages(term.right, k, wires[ln:])
         return left + right, ln + rn
     if isinstance(term, Bullet):
-        right, rn = _term_stages(term.right, alphabet, offset)
-        left, ln = _term_stages(term.left, alphabet, offset)
+        right, rn = _term_stages(term.right, k, wires)
+        left, ln = _term_stages(term.left, k, wires)
         if ln != rn:
             raise ShapeError("only balanced chains flatten to stages",
                              expected=rn, actual=ln)
         return right + left, ln
     raise ShapeError(f"term node {type(term).__name__} is not stage-shaped")
-
-
-def _remap(stages: list[Stage], wires: tuple[int, ...]) -> list[Stage]:
-    return [Stage(s.kind, s.perm, s.o, tuple(wires[w - 1] for w in s.wires))
-            for s in stages]
-
-
-def _letter_word_stages(kind: str, perm: Perm, o: int,
-                        wires: tuple[int, ...]) -> list[Stage]:
-    """Rewrite a unary or two-wire gate as a word over the swap and the
-    cycle; applying the factors in word order multiplies to the gate."""
-    word = factor_over_standard(perm)
-    out = []
-    for gen in word:
-        if kind == "u":
-            out.append(Stage("u", gen, None, wires))
-        else:
-            out.append(Stage("tg", gen, o, wires))
-    return out
 
 
 def synthesize(f: Map, gate_policy: str = "tg-n", o: int = 1) -> Netlist:
@@ -442,30 +435,26 @@ def synthesize(f: Map, gate_policy: str = "tg-n", o: int = 1) -> Netlist:
             raise ShapeError("odd-small fixes the control letter to 1",
                              actual=o)
     n = f.arity
+    k = alphabet.size
     stages: list[Stage] = []
-    for e in decompose_elementary(f):
-        for a in elementary_to_atomic(e):
-            stages.extend(atomic_to_gates(a, o).stages)
+    for i, j in _transpositions(f.codes):
+        x, y = decode(i, alphabet, n), decode(j, alphabet, n)
+        for u, v in _atomic_steps(x, y):
+            stages.extend(_swap_stages(u, v, o, k))
     if gate_policy == "tg-n":
         return Netlist(n, tuple(stages))
-    out: list[Stage] = []
+    narrow: list[Stage] = []
     for stage in stages:
+        if stage.kind == "tg" and len(stage.wires) > 2:
+            term = lift_odd(len(stage.wires), stage.perm)
+            narrow.extend(_term_stages(term, k, stage.wires)[0])
+        else:
+            narrow.append(stage)
+    out: list[Stage] = []
+    for stage in narrow:
         if stage.kind == "pi":
             out.append(stage)
-        elif stage.kind == "u":
-            out.extend(_letter_word_stages("u", stage.perm, 1, stage.wires))
-        elif len(stage.wires) == 2:
-            out.extend(_letter_word_stages("tg", stage.perm, stage.o,
-                                           stage.wires))
         else:
-            term = lift_odd(len(stage.wires), stage.perm)
-            flat, _ = _term_stages(term, alphabet, 0)
-            for sub in _remap(flat, stage.wires):
-                if sub.kind == "u":
-                    out.extend(_letter_word_stages("u", sub.perm, 1, sub.wires))
-                elif sub.kind == "tg" and len(sub.wires) == 2:
-                    out.extend(_letter_word_stages("tg", sub.perm, sub.o,
-                                                   sub.wires))
-                else:
-                    out.append(sub)
+            out.extend(Stage(stage.kind, gen, stage.o, stage.wires)
+                       for gen in factor_over_standard(stage.perm))
     return Netlist(n, tuple(out))

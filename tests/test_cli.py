@@ -54,6 +54,25 @@ def test_member_with_witness(tmp_path, capsys):
     assert "witness:" in out
 
 
+def test_member_witness_length_cap(tmp_path, capsys, monkeypatch):
+    from revclone import group
+    from revclone.ops import oplus
+
+    swap = tg(1, Perm.from_cycles([(1, 2)], degree=2), 1)
+    target = write_map(tmp_path, "t.map", oplus(swap, swap))
+    argv = ("member", target, "--alphabet", "2", "--gen", "tg1-swap",
+            "--witness")
+    monkeypatch.setattr(group, "MAX_WITNESS_LEN", 4)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "witness: " in out
+    monkeypatch.setattr(group, "MAX_WITNESS_LEN", 3)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "overflow: witness word exceeds 3 generators" in err
+
+
 def test_check_flags_and_exit_codes(tmp_path, capsys):
     from revclone.gates import fanout
 

@@ -11,7 +11,9 @@ from revclone.cli import builtin_generators
 from revclone.core import (Alphabet, NotBijectiveError, Perm, ShapeError,
                            identity_map)
 from revclone.gates import elementary, standard_generators, tg
-from revclone.group import TupleGroup, TuplePerm, from_map, sign
+from revclone import group as group_module
+from revclone.group import (TupleGroup, TuplePerm, WitnessOverflow, from_map,
+                            sign)
 from revclone.ops import bullet, oplus, pi
 from revclone.closure import slice_group
 from revclone.gates import fanout
@@ -195,6 +197,23 @@ def test_witness_words_multiply_to_the_element():
         assert group.evaluate_word(word) == p
         names = group.witness_names(word)
         assert all(n.rstrip("^-1") in ("x", "y") for n in names)
+
+
+def test_witness_length_cap(monkeypatch):
+    rng = random.Random(8)
+    gens = [random_tuple_perm(rng, 6), random_tuple_perm(rng, 6)]
+    group = TupleGroup.build(gens)
+    p = gens[0] * gens[1] * gens[0]
+    word = group.witness(p)
+    assert len(word) > 1
+    monkeypatch.setattr(group_module, "MAX_WITNESS_LEN", len(word))
+    assert group.witness(p) == word
+    monkeypatch.setattr(group_module, "MAX_WITNESS_LEN", len(word) - 1)
+    with pytest.raises(WitnessOverflow):
+        group.witness(p)
+    # Generators and the identity are answered without expansion.
+    assert group.witness(gens[1]) == (2,)
+    assert group.witness(TuplePerm.identity(6)) == ()
 
 
 def test_random_element_is_in_group():

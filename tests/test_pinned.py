@@ -177,6 +177,18 @@ def test_synthesis_embedding_and_lifts_are_pinned():
         "9c355cef57e0dc7079e4be0152c1da31262b432d22cacad6f03987dabe694055")
 
 
+def test_synthesis_through_the_lift_is_pinned():
+    # Three wires send every odd-small gate through lift_odd; four wires
+    # give tg-n wire swaps, unary layers and four-wire gates.
+    rng = random.Random(17)
+    f = random_bijection(rng, A3, 3)
+    record = [format_netlist(synthesize(f, gate_policy="odd-small"), A3)]
+    f = random_bijection(rng, A3, 4)
+    record.extend(format_netlist(synthesize(f, o=o), A3) for o in (1, 3))
+    assert _digest(record) == (
+        "a9b49e1a8e2e84fd90469ebaa5ffdcb4ed1a67ebcc7e4126a88ae03834a74862")
+
+
 def test_identities_random_map_draws_are_pinned():
     rng = random.Random(3)
     record = [_map_record(random_map(rng, Alphabet(k), arity, coarity))

@@ -6,6 +6,7 @@ from revclone.circuit import evaluate_term, simulate
 from revclone.closure import check_temp_storage
 from revclone.core import (Alphabet, Map, NotBijectiveError, Perm,
                            ShapeError, evaluate, identity_map, is_bijective)
+from revclone import gates
 from revclone.gates import elementary, is_atomic, tg
 from revclone.synth import (atomic_to_gates, decompose_elementary,
                             elementary_to_atomic, embed,
@@ -223,7 +224,7 @@ def test_lift_odd_stage_widths_are_small():
 
     for perm in (SWAP3, CYCLE3):
         term = lift_odd(3, perm)
-        stages, width = _term_stages(term, A3, 0)
+        stages, width = _term_stages(term, 3, (1, 2, 3))
         assert width == 3
         assert stages
         assert all(len(s.wires) <= 2 for s in stages)
@@ -369,3 +370,21 @@ def test_embed_coarity_zero():
     assert e.r == 2
     assert is_bijective(e.map)
     assert e.reduct_map() == erase
+
+
+def test_synthesize_builds_no_swap_maps(monkeypatch):
+    # Synthesis works on tuple pairs: no k^n-row Map per transposition or
+    # atomic swap, and no rescan of one.
+    def refuse(*args):
+        raise AssertionError("synthesize built or scanned a swap Map")
+
+    for name in ("_transposition", "elementary", "elementary_pair",
+                 "is_atomic"):
+        monkeypatch.setattr(gates, name, refuse)
+    rng = random.Random(23)
+    for k, n, policy, o in ((3, 3, "odd-small", 1), (5, 2, "odd-small", 1),
+                            (2, 4, "tg-n", 1), (3, 3, "tg-n", 2)):
+        alphabet = Alphabet(k)
+        f = random_bijection(rng, alphabet, n)
+        nl = synthesize(f, gate_policy=policy, o=o)
+        assert simulate(nl, alphabet) == f

@@ -192,7 +192,7 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
     with a fixed operation order per pair.  A candidate whose shape
     exceeds the caps sets ``capped`` without its table being built.
     Pairs are combined on raw output codes, every candidate is
-    deduplicated on its (arity, coarity, codes) key, and a Map is made
+    deduplicated in the set of codes kept for its shape, and a Map is made
     only for an element kept.  What a pair builds depends on the
     partners' shapes alone, so it is planned once per dequeued element
     and partner shape.  A composite is an index gather of the inner
@@ -215,13 +215,13 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
 
     # elems is also the breadth-first queue: elems[i] is dequeued once
     # every earlier element has been.  shapes[i] and depths[i] are its
-    # (arity, coarity) and depth, and gathers[i][e] is its gather for pad
-    # k^e (see gather).
+    # (arity, coarity) and depth, and gathers[e][i] is its ops._gatherer
+    # for pad k^e, made on first use; a composite pads by k^e < k^max_arity.
     elems: list[Map] = []
     shapes: list[tuple[int, int]] = []
     depths: list[int] = []
-    gathers: list[list] = []
-    seen: set[tuple[int, int, tuple[int, ...]]] = set()
+    gathers: list[list] = [[] for _ in range(max_arity)]
+    seen: dict[tuple[int, int], set[tuple[int, ...]]] = {}
     # pairs_upto[i]: len(elems) when elems[i] was paired, so elems[i] has
     # been combined with exactly the elements before that index.
     pairs_upto: list[int] = []
@@ -232,13 +232,17 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
     built_unary = built_oplus = built_compose = 0
     duplicates = shape_rejected = budget_rejected = 0
 
-    def admit(arity: int, coarity: int, codes: tuple[int, ...],
+    def slot(arity: int, coarity: int) -> tuple:
+        """The shape (arity, coarity) and seen[shape], the codes kept of it."""
+        shape = (arity, coarity)
+        return shape, seen.setdefault(shape, set())
+
+    def admit(shape: tuple[int, int], bucket: set, codes: tuple[int, ...],
               d: int) -> None:
-        """Keep a candidate that fits the caps, unless it was reached
-        before or a budget has run out."""
+        """Keep a candidate that fits the caps, unless its shape's bucket
+        holds it (the pair loop tests a composite's) or a budget ran out."""
         nonlocal overflowed, stop, duplicates, budget_rejected
-        key = (arity, coarity, codes)
-        if key in seen:
+        if codes in bucket:
             duplicates += 1
         elif len(elems) >= max_size or (max_depth is not None
                                         and d > max_depth):
@@ -247,18 +251,10 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
             overflowed = True
             budget_rejected += 1
         else:
-            seen.add(key)
-            shapes.append((arity, coarity))
+            bucket.add(codes)
+            shapes.append(shape)
             depths.append(d)
-            gathers.append([None] * (max_arity + 1))
-            elems.append(Map._unchecked(alphabet, arity, coarity, codes))
-
-    def gather(j: int, e: int):
-        """ops._gatherer(elems[j].codes, k^e), made once per call."""
-        g = gathers[j][e]
-        if g is None:
-            g = gathers[j][e] = gatherer(elems[j].codes, power[e])
-        return g
+            elems.append(Map._unchecked(alphabet, *shape, codes))
 
     def lifted(e: int, t: int) -> tuple[int, ...]:
         """x's table for composites with pad k^e and tail k^t."""
@@ -271,25 +267,26 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
 
     def plan(ya: int, yc: int, self_pair: bool) -> tuple:
         """What pairing x with a partner of shape (ya, yc) builds: the
-        oplus shape and the partner's oplus scale, the number of oplus
-        tables, the shape rejections, the composites x after y as (arity,
-        coarity, pad exponent, x's table) and y after x as (arity,
-        coarity, gather or None, pad, tail), and the tables built."""
+        oplus slot and the partner's oplus scale, the number of oplus
+        tables, the shape rejections, the composites x after y as (shape,
+        bucket, gather column, pad, x's table) and y after x as (shape,
+        bucket, pad, tail, gather or None), and the tables built."""
         arity, coarity = xa + ya, xc + yc
         # Either composite along k wires has shape (arity - k, coarity -
         # k), which exceeds the caps for k < k_lo; such a k exists only
         # when the oplus shape exceeds them too.
         k_lo = max(1, arity - max_arity, coarity - max_coarity)
         forward = tuple(
-            (arity - k, coarity - k, xa - k, lifted(xa - k, yc - k))
+            (*slot(arity - k, coarity - k), gathers[xa - k], power[xa - k],
+             lifted(xa - k, yc - k))
             for k in range(k_lo, min(xa, yc) + 1))
         # y after x consumes all of x's outputs only for k == xc; then it
         # is x's gather applied to y's codes.  The self-pair skips the
         # reversed builds: they would repeat the forward ones, which are
         # seen or set the same flag.
         reverse = () if self_pair else tuple(
-            (arity - k, coarity - k, gather(i, ya - k) if k == xc else None,
-             power[ya - k], power[xc - k])
+            (*slot(arity - k, coarity - k), power[ya - k], power[xc - k],
+             gatherer(xcodes, power[ya - k]) if k == xc else None)
             for k in range(k_lo, min(ya, xc) + 1))
         if arity <= max_arity and coarity <= max_coarity:
             n_oplus, rejected = (1 if self_pair else 2), 0
@@ -298,12 +295,12 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
             rejected = 1 + min(k_lo - 1, xa, yc)
             if not self_pair:
                 rejected += 1 + min(k_lo - 1, ya, xc)
-        return (arity, coarity, power[yc], n_oplus, rejected, forward,
+        return (slot(arity, coarity), power[yc], n_oplus, rejected, forward,
                 reverse, n_oplus + len(forward) + len(reverse))
 
     for seed in seeds:
         if caps.admits(seed.arity, seed.coarity):
-            admit(seed.arity, seed.coarity, seed.codes, 0)
+            admit(*slot(seed.arity, seed.coarity), seed.codes, 0)
         else:
             capped = True
             shape_rejected += 1
@@ -328,8 +325,10 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
                 shape_rejected += 1
         built_unary += len(unary)
         for m in unary:
-            admit(m.arity, m.coarity, m.codes, d)
+            admit(*slot(m.arity, m.coarity), m.codes, d)
         n = len(elems)
+        for column in gathers:
+            column.extend([None] * (n - len(column)))
         pairs_upto.append(n)
         # Earlier elements j with i < pairs_upto[j] were already combined
         # with x; pairs_upto is nondecreasing, so they form [j0, i).
@@ -348,7 +347,7 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
                 p = plans.get(shapes[j])
                 if p is None:
                     p = plans[shapes[j]] = plan(*shapes[j], False)
-            a, c, scale, n_oplus, rejected, forward, reverse, tables = p
+            oplus, scale, n_oplus, rejected, forward, reverse, tables = p
             pairs += 1
             if not tables:
                 pairs_skipped += 1
@@ -357,17 +356,28 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
             if dy < d:
                 dy = d
             if n_oplus:
-                admit(a, c, oplus_codes(xcodes, ycodes, scale), dy)
+                admit(*oplus, oplus_codes(xcodes, ycodes, scale), dy)
                 if n_oplus == 2:
-                    admit(a, c, oplus_codes(ycodes, xcodes, power[xc]), dy)
+                    admit(*oplus, oplus_codes(ycodes, xcodes, power[xc]), dy)
             else:
                 capped = True
                 shape_rejected += rejected
-            for fa, fc, e, table in forward:
-                admit(fa, fc, gather(j, e)(table), dy)
-            for ra, rc, g, pad, tail in reverse:
-                admit(ra, rc, compose_codes(ycodes, pad, xcodes, tail)
-                      if g is None else g(ycodes), dy)
+            for shape, bucket, column, pad, table in forward:
+                g = column[j]
+                if g is None:
+                    g = column[j] = gatherer(ycodes, pad)
+                codes = g(table)
+                if codes in bucket:
+                    duplicates += 1
+                else:
+                    admit(shape, bucket, codes, dy)
+            for shape, bucket, pad, tail, g in reverse:
+                codes = compose_codes(ycodes, pad, xcodes, tail) \
+                    if g is None else g(ycodes)
+                if codes in bucket:
+                    duplicates += 1
+                else:
+                    admit(shape, bucket, codes, dy)
             built_oplus += n_oplus
             built_compose += tables - n_oplus
             if overflowed:

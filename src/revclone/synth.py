@@ -119,26 +119,29 @@ def _atomic_steps(x: tuple[int, ...], y: tuple[int, ...]
     return steps + steps[-2::-1]
 
 
+def _letter_swaps(k: int) -> dict[tuple[int, int], Perm]:
+    """Each transposition of k letters, keyed by its pair in either order."""
+    return {(a, b): Perm.from_cycles([(a, b)], degree=k)
+            for a in range(1, k + 1) for b in range(1, k + 1) if a != b}
+
+
 def _swap_stages(x: tuple[int, ...], y: tuple[int, ...], o: int,
-                 k: int) -> list[Stage]:
+                 swaps: dict[tuple[int, int], Perm]) -> list[Stage]:
     """The stages of atomic_to_gates for the swap of the tuples x and y,
-    which differ in one coordinate."""
+    which differ in one coordinate; swaps is _letter_swaps(k)."""
     n = len(x)
-    diff = next(i for i in range(n) if x[i] != y[i]) + 1
+    diff = next(i for i in range(n) if x[i] != y[i])
     if n == 1:
-        return [Stage("u", Perm.from_cycles([(x[0], y[0])], degree=k),
-                      None, (1,))]
+        return [Stage("u", swaps[x[0], y[0]], None, (1,))]
     routing: list[Stage] = []
-    xr, yr = list(x), list(y)
-    if diff != n:
-        routing.append(Stage("pi", Perm.from_cycles([(1, 2)], degree=2),
-                             None, (diff, n)))
-        xr[diff - 1], xr[n - 1] = xr[n - 1], xr[diff - 1]
-        yr[diff - 1], yr[n - 1] = yr[n - 1], yr[diff - 1]
-    layer = [Stage("u", Perm.from_cycles([(o, xr[j])], degree=k), None, (j + 1,))
-             for j in range(n - 1) if xr[j] != o]
-    core = Stage("tg", Perm.from_cycles([(xr[n - 1], yr[n - 1])], degree=k),
-                 o, tuple(range(1, n + 1)))
+    controls = list(x[:n - 1])
+    if diff < n - 1:
+        # The wire swap moves the last letter to the moved coordinate.
+        routing.append(Stage("pi", Perm((2, 1)), None, (diff + 1, n)))
+        controls[diff] = x[n - 1]
+    layer = [Stage("u", swaps[o, c], None, (j + 1,))
+             for j, c in enumerate(controls) if c != o]
+    core = Stage("tg", swaps[x[diff], y[diff]], o, tuple(range(1, n + 1)))
     return routing + layer + [core] + layer + routing
 
 
@@ -171,7 +174,8 @@ def atomic_to_gates(a: Map, o: int) -> Netlist:
     if pair is None or sum(u != v for u, v in zip(*pair)) != 1:
         raise ShapeError("not an atomic permutation")
     a.alphabet.check_letter(o)
-    return Netlist(a.arity, tuple(_swap_stages(*pair, o, a.alphabet.size)))
+    return Netlist(a.arity, tuple(_swap_stages(
+        *pair, o, _letter_swaps(a.alphabet.size))))
 
 
 # -- factoring letter permutations over the swap and the cycle ----------------
@@ -436,11 +440,12 @@ def synthesize(f: Map, gate_policy: str = "tg-n", o: int = 1) -> Netlist:
                              actual=o)
     n = f.arity
     k = alphabet.size
+    swaps = _letter_swaps(k)
     stages: list[Stage] = []
     for i, j in _transpositions(f.codes):
         x, y = decode(i, alphabet, n), decode(j, alphabet, n)
         for u, v in _atomic_steps(x, y):
-            stages.extend(_swap_stages(u, v, o, k))
+            stages.extend(_swap_stages(u, v, o, swaps))
     if gate_policy == "tg-n":
         return Netlist(n, tuple(stages))
     narrow: list[Stage] = []

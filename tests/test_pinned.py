@@ -6,6 +6,7 @@ tuples; the encoded-code representation must reproduce every one of them
 byte for byte.
 """
 
+import dataclasses
 import hashlib
 import random
 
@@ -82,6 +83,35 @@ def test_saturate_is_pinned(name):
     sat = saturate(gens, caps, with_delta_nabla=with_dn, alphabet=alphabet)
     record = ([_map_record(m) for m in sat.maps], sat.capped, sat.overflowed)
     assert _digest(record) == PINNED_SATURATE[name]
+
+
+# Every SaturationStats field, in declaration order.
+PINNED_SATURATE_STATS = {
+    "tg2-swap":
+        "ba62f745ad5c009c5f894bce75528509c1feda78bb69dada412fd7a9185452e9",
+    "tg2-swap-dn":
+        "520585cde3cb02655deaa1f8f9f140c96b70791a433dd8ab4fd4c857dd6fa716",
+    "fanout-dn":
+        "f493d9b2c51a62c6d86761f08a10cacc042dddb3247ffed779feab69437e81d1",
+    "unary-overflow":
+        "80a10462e88a3d39859a6a2087cc62307203a4bfa4d58900365866aeab556621",
+    "depth-2":
+        "539103d5a5d58c14961f59e01f9e8b0be4710f7e5481b1b5badda4a72f232693",
+    "std4-k3-size":
+        "2111a480367fbc099416bbf7397bde65bdcc1225ea9508535219d187e034c583",
+    "cycle-k3-dn":
+        "f8392bde6edd05a7925f6ae11fe20e823c90224c912806751aeb5af77c95738a",
+    "empty-k3":
+        "298716799fe43eb4d11bd94073e060836b5a11b7a8e97085d423f8e49b03cd9d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SATURATE_CASES))
+def test_saturate_stats_are_pinned(name):
+    gens, caps, with_dn, alphabet = SATURATE_CASES[name]
+    sat = saturate(gens, caps, with_delta_nabla=with_dn, alphabet=alphabet)
+    assert _digest(dataclasses.astuple(sat.stats)) == \
+        PINNED_SATURATE_STATS[name]
 
 
 def test_function_set_is_pinned():

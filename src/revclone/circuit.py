@@ -584,6 +584,9 @@ class Stage:
                              actual=self.wires)
         if self.kind == "tg" and (len(self.wires) < 1 or self.o is None):
             raise ShapeError("tg stage needs wires and a control letter")
+        if self.kind != "tg" and self.o is not None:
+            raise ShapeError(f"{self.kind} stage takes no control letter",
+                             actual=self.o)
         if self.kind == "pi" and self.perm.degree != len(self.wires):
             raise ShapeError("pi stage degree must match its wire count",
                              expected=len(self.wires), actual=self.perm.degree)
@@ -627,6 +630,8 @@ def simulate(nl: Netlist, alphabet: Alphabet) -> Map:
         if stage.kind in ("tg", "u") and stage.perm.degree != alphabet.size:
             raise ShapeError("gate letter permutation has the wrong degree",
                              expected=alphabet.size, actual=stage.perm.degree)
+        if stage.kind == "tg":
+            alphabet.check_letter(stage.o)
     # For a pi stage, the state index each of its wires reads: stage wire
     # j takes the letter of stage wire perm^-1(j).
     compiled = [(stage, [stage.wires[i - 1] - 1

@@ -233,11 +233,10 @@ class Map:
     input tuple with encoding i; for a balanced bijection these are the
     images of its TuplePerm.  ``table`` decodes them to output tuples.  The
     constructor takes output tuples and validates them by encoding them.
-    Instances are immutable and hashable; the hash is cached because maps
-    are deduplicated heavily during closure searches.
+    Instances are immutable and hashable.
     """
 
-    __slots__ = ("alphabet", "arity", "coarity", "codes", "_hash")
+    __slots__ = ("alphabet", "arity", "coarity", "codes")
 
     def __init__(self, alphabet: Alphabet, arity: int, coarity: int,
                  table: Iterable[tuple[int, ...]]):
@@ -252,7 +251,6 @@ class Map:
         self.arity = arity
         self.coarity = coarity
         self.codes = tuple([encode(row, alphabet, coarity) for row in rows])
-        self._hash = None
 
     @classmethod
     def _unchecked(cls, alphabet: Alphabet, arity: int, coarity: int,
@@ -263,7 +261,6 @@ class Map:
         m.arity = arity
         m.coarity = coarity
         m.codes = codes
-        m._hash = None
         return m
 
     @classmethod
@@ -291,10 +288,8 @@ class Map:
                 and self.coarity == other.coarity and self.codes == other.codes)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.alphabet.size, self.arity,
-                               self.coarity, self.codes))
-        return self._hash
+        return hash((self.alphabet.size, self.arity, self.coarity,
+                     self.codes))
 
     def __repr__(self) -> str:
         return (f"Map(k={self.alphabet.size}, arity={self.arity}, "
@@ -334,6 +329,23 @@ def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
     for i, j in enumerate(images):
         inverse[j] = i
     return tuple(inverse)
+
+
+def _transpositions(images: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Index pairs whose transpositions, applied in list order, multiply
+    to the permutation with these images: each cycle is walked from its
+    smallest point."""
+    out: list[tuple[int, int]] = []
+    seen = [False] * len(images)
+    for start, image in enumerate(images):
+        if seen[start] or image == start:
+            continue
+        point = image
+        while point != start:
+            seen[point] = True
+            out.append((start, point))
+            point = images[point]
+    return out
 
 
 def inverse(f: Map) -> Map:

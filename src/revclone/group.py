@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Map, NotBijectiveError, ShapeError, _invert, is_bijective
+from .core import Map, NotBijectiveError, ShapeError, _invert, \
+    _transpositions, is_bijective
 
 # Symbolic words over the original generators:
 #   ()                empty word
@@ -87,23 +88,22 @@ def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class TuplePerm:
     """A permutation of the points 0..degree-1.
 
-    Products are left to right: ``(p * q).act(x) == q.act(p.act(x))``.
+    Products are left to right: ``(p * q).images[x]`` is
+    ``q.images[p.images[x]]``.
     """
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ShapeError("not a permutation of 0..d-1", actual=images)
         self.images = images
-        self._hash = None
 
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> "TuplePerm":
         p = object.__new__(cls)
         p.images = images
-        p._hash = None
         return p
 
     @classmethod
@@ -113,9 +113,6 @@ class TuplePerm:
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    def act(self, point: int) -> int:
-        return self.images[point]
 
     def __mul__(self, other: "TuplePerm") -> "TuplePerm":
         if other.degree != self.degree:
@@ -135,9 +132,7 @@ class TuplePerm:
         return self.images == other.images
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.images)
-        return self._hash
+        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"TuplePerm(degree={self.degree})"
@@ -157,31 +152,26 @@ def from_map(f: Map) -> TuplePerm:
 
 def sign(p: TuplePerm) -> int:
     """Parity of the permutation: +1 for even, -1 for odd."""
-    seen = [False] * p.degree
-    flips = 0
-    for start in range(p.degree):
-        if seen[start]:
-            continue
-        length = 0
-        point = start
-        while not seen[point]:
-            seen[point] = True
-            point = p.images[point]
-            length += 1
-        flips += length - 1
-    return -1 if flips % 2 else 1
+    return -1 if len(_transpositions(p.images)) % 2 else 1
 
+
+# -- the stabilizer chain ------------------------------------------------------
+#
+# A chain is two plain values built side by side: `levels`, one _Level per
+# base point, and `strong`, every strong generator as (depth, images, word)
+# in discovery order, where depth is the level it was found at, so it fixes
+# the first depth base points.  The generators of level d are the entries
+# with depth >= d, in list order.
 
 class _Level:
-    __slots__ = ("point", "own_gens", "transversal", "orbit", "processed")
+    __slots__ = ("point", "transversal", "orbit", "processed")
 
     def __init__(self, point: int, ident: tuple[int, ...]):
         self.point = point
-        # own_gens: list of (uid, images, word) discovered at this depth
-        self.own_gens: list[tuple[int, tuple[int, ...], object]] = []
         # transversal: point -> (images, inverse, word); base maps to id
         self.transversal = {point: (ident, ident, _EMPTY_WORD)}
         self.orbit = [point]
+        # (orbit point, position in the strong list) pairs already sifted
         self.processed: set[tuple[int, int]] = set()
 
 
@@ -200,6 +190,63 @@ def _sift(levels: list[_Level], p: tuple[int, ...], word, start: int):
         p = _mul(p, entry[1])
         word = _cat(word, _inv(entry[2]))
     return p, word, len(levels)
+
+
+def _install(levels: list[_Level], strong: list, perm: tuple[int, ...],
+             word, depth: int, stop: int) -> None:
+    """Record a strong generator that fixes the first `depth` base points,
+    then restore completeness at levels depth, depth - 1, ... down to, but
+    not including, level `stop`."""
+    if depth == len(levels):
+        base = next(i for i, j in enumerate(perm) if i != j)
+        levels.append(_Level(base, tuple(range(len(perm)))))
+    strong.append((depth, perm, word))
+    for d in range(depth, stop, -1):
+        _complete(levels, strong, d)
+
+
+def _complete(levels: list[_Level], strong: list, index: int) -> None:
+    """Extend the orbit at `index` and process its Schreier generators
+    until every (orbit point, strong generator) pair sifts to the identity
+    through the deeper chain.  Assumes deeper levels are complete on
+    entry."""
+    level = levels[index]
+    ident = level.transversal[level.point][0]
+    while True:
+        gens = [(i, gen, gen_word)
+                for i, (depth, gen, gen_word) in enumerate(strong)
+                if depth >= index]
+        # The orbit grows while it is scanned, so new points are scanned too.
+        for point in level.orbit:
+            t, _, t_word = level.transversal[point]
+            for _, gen, gen_word in gens:
+                image = gen[point]
+                if image not in level.transversal:
+                    perm = _mul(t, gen)
+                    level.transversal[image] = (perm, _invert(perm),
+                                                _cat(t_word, gen_word))
+                    level.orbit.append(image)
+        dirty = False
+        for point in list(level.orbit):
+            t, _, t_word = level.transversal[point]
+            for i, gen, gen_word in gens:
+                key = (point, i)
+                if key in level.processed:
+                    continue
+                level.processed.add(key)
+                _, u2_inv, u2_word = level.transversal[gen[point]]
+                schreier = _mul(_mul(t, gen), u2_inv)
+                if schreier == ident:
+                    continue
+                s_word = _cat(_cat(t_word, gen_word), _inv(u2_word))
+                residue, rword, depth = _sift(levels, schreier, s_word,
+                                              index + 1)
+                if residue == ident:
+                    continue
+                _install(levels, strong, residue, rword, depth, index)
+                dirty = True
+        if not dirty:
+            return
 
 
 class TupleGroup:
@@ -244,10 +291,14 @@ class TupleGroup:
             degree = inferred
         elif degree is None:
             raise ShapeError("degree required for an empty generator list")
-        builder = _ChainBuilder(degree)
+        ident = tuple(range(degree))
+        levels: list[_Level] = []
+        strong: list = []
         for index, (_, perm) in enumerate(named):
-            builder.add_generator(perm.images, ("g", index))
-        return cls(degree, named, builder.levels)
+            residue, word, depth = _sift(levels, perm.images, ("g", index), 0)
+            if residue != ident:
+                _install(levels, strong, residue, word, depth, -1)
+        return cls(degree, named, levels)
 
     def order(self) -> int:
         total = 1
@@ -258,12 +309,17 @@ class TupleGroup:
     def base(self) -> tuple[int, ...]:
         return tuple(level.point for level in self._levels)
 
-    def contains(self, p: TuplePerm) -> bool:
+    def _sifted(self, p: TuplePerm):
+        """Whether p is a member, and the sifted word, which spells p^-1
+        times the residue."""
         if p.degree != self.degree:
             raise ShapeError("degree mismatch", expected=self.degree,
                              actual=p.degree)
-        residue, _, _ = _sift(self._levels, p.images, _EMPTY_WORD, 0)
-        return residue == self._ident
+        residue, word, _ = _sift(self._levels, p.images, _EMPTY_WORD, 0)
+        return residue == self._ident, word
+
+    def contains(self, p: TuplePerm) -> bool:
+        return self._sifted(p)[0]
 
     def witness(self, p: TuplePerm) -> tuple[int, ...] | None:
         """A word over the generators multiplying (left-to-right
@@ -272,27 +328,27 @@ class TupleGroup:
         come from the chain transversals and are valid but not minimized;
         one longer than MAX_WITNESS_LEN raises WitnessOverflow.
         """
-        if p.degree != self.degree:
-            raise ShapeError("degree mismatch", expected=self.degree,
-                             actual=p.degree)
+        member, word = self._sifted(p)
+        if not member:
+            return None
         if p.images == self._ident:
             return ()
         for index, (_, gen) in enumerate(self.named_generators):
             if gen == p:
                 return (index + 1,)
-        # The sifted word spells p^-1 times the residue.
-        residue, word, _ = _sift(self._levels, p.images, _EMPTY_WORD, 0)
-        if residue != self._ident:
-            return None
         return _expand_word(_inv(word))
+
+    def _generator(self, index: int) -> tuple[str, TuplePerm]:
+        """The named generator a signed 1-based word index refers to."""
+        if index == 0 or abs(index) > len(self.named_generators):
+            raise ShapeError("word index out of range", actual=index)
+        return self.named_generators[abs(index) - 1]
 
     def evaluate_word(self, word: Iterable[int]) -> TuplePerm:
         """Multiply out a signed generator word (left-to-right)."""
         result = self._ident
         for index in word:
-            if index == 0 or abs(index) > len(self.named_generators):
-                raise ShapeError("word index out of range", actual=index)
-            images = self.named_generators[abs(index) - 1][1].images
+            images = self._generator(index)[1].images
             if index < 0:
                 images = _invert(images)
             result = _mul(result, images)
@@ -301,7 +357,7 @@ class TupleGroup:
     def witness_names(self, word: Iterable[int]) -> tuple[str, ...]:
         out = []
         for index in word:
-            name = self.named_generators[abs(index) - 1][0]
+            name = self._generator(index)[0]
             out.append(name if index > 0 else name + "^-1")
         return tuple(out)
 
@@ -313,91 +369,3 @@ class TupleGroup:
             point = level.orbit[rng.randrange(len(level.orbit))]
             result = _mul(result, level.transversal[point][0])
         return TuplePerm._unchecked(result)
-
-
-class _ChainBuilder:
-    """Deterministic incremental Schreier-Sims on raw image tuples: strong
-    generators, transversals, Schreier generators and residues are plain
-    tuples; TuplePerm objects appear only at the TupleGroup boundary."""
-
-    def __init__(self, degree: int):
-        self.ident = tuple(range(degree))
-        self.levels: list[_Level] = []
-        self._uid = 0
-
-    # -- generator views -------------------------------------------------
-
-    def _effective_gens(self, index: int):
-        """Strong generators fixing the first `index` base points: every
-        own generator discovered at depth >= index, in discovery order."""
-        out = []
-        for level in self.levels[index:]:
-            out.extend(level.own_gens)
-        out.sort(key=lambda item: item[0])
-        return out
-
-    # -- orbit maintenance -----------------------------------------------
-
-    def _extend_orbit(self, index: int) -> None:
-        level = self.levels[index]
-        gens = self._effective_gens(index)
-        # The orbit grows while it is scanned, so new points are scanned too.
-        for point in level.orbit:
-            t, _, t_word = level.transversal[point]
-            for _, gen, gen_word in gens:
-                image = gen[point]
-                if image not in level.transversal:
-                    perm = _mul(t, gen)
-                    level.transversal[image] = (perm, _invert(perm),
-                                                _cat(t_word, gen_word))
-                    level.orbit.append(image)
-
-    # -- construction ------------------------------------------------------
-
-    def add_generator(self, perm: tuple[int, ...], word) -> None:
-        residue, rword, depth = _sift(self.levels, perm, word, 0)
-        if residue != self.ident:
-            self._install(residue, rword, depth, -1)
-
-    def _install(self, perm: tuple[int, ...], word, depth: int,
-                 index: int) -> None:
-        """Record a strong generator that fixes the first `depth` base
-        points, then restore completeness at levels depth, depth - 1, ...
-        down to, but not including, level `index`."""
-        if depth == len(self.levels):
-            base = next(i for i, j in enumerate(perm) if i != j)
-            self.levels.append(_Level(base, self.ident))
-        self.levels[depth].own_gens.append((self._uid, perm, word))
-        self._uid += 1
-        for d in range(depth, index, -1):
-            self._complete(d)
-
-    def _complete(self, index: int) -> None:
-        """Process Schreier generators at `index` until every (orbit
-        point, strong generator) pair sifts to the identity through the
-        deeper chain.  Assumes deeper levels are complete on entry."""
-        level = self.levels[index]
-        while True:
-            self._extend_orbit(index)
-            gens = self._effective_gens(index)
-            dirty = False
-            for point in list(level.orbit):
-                t, _, t_word = level.transversal[point]
-                for uid, gen, gen_word in gens:
-                    key = (point, uid)
-                    if key in level.processed:
-                        continue
-                    level.processed.add(key)
-                    _, u2_inv, u2_word = level.transversal[gen[point]]
-                    schreier = _mul(_mul(t, gen), u2_inv)
-                    if schreier == self.ident:
-                        continue
-                    s_word = _cat(_cat(t_word, gen_word), _inv(u2_word))
-                    residue, rword, depth = _sift(self.levels, schreier,
-                                                  s_word, index + 1)
-                    if residue == self.ident:
-                        continue
-                    self._install(residue, rword, depth, index)
-                    dirty = True
-            if not dirty:
-                return

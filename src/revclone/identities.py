@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import ops
-from .core import Alphabet, Map, Perm
+from .core import Alphabet, Map, Perm, ShapeError
 
 
 def random_map(rng: random.Random, alphabet: Alphabet, arity: int,
@@ -227,6 +227,8 @@ class IdentityReport:
 def run_identity_suite(k: int, trials: int, seed: int
                        ) -> list[IdentityReport]:
     """Run every identity check on `trials` seeded random instances."""
+    if trials < 0:
+        raise ShapeError("trial count must be non-negative", actual=trials)
     alphabet = Alphabet(k)
     reports = []
     for name, check in IDENTITIES:

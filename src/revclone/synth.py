@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import gates, ops
 from .core import Alphabet, Map, NotBijectiveError, Perm, ShapeError, \
-    decode, encode, is_bijective
+    _transpositions, decode, encode, is_bijective
 from .circuit import Bullet, IdLit, Netlist, Oplus, PiLit, Stage, Term, \
     TgLit, letter_spec, netlist_to_term, perm_from_spec, pi_spec, \
     simulate, spec_degree
@@ -86,23 +86,6 @@ def embed(g: Map, o: int = 1) -> Embedding:
 
 
 # -- elementary / atomic factorization ---------------------------------------
-
-def _transpositions(images: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Index pairs whose transpositions, applied in list order, multiply
-    to the permutation with these images: each cycle is walked from its
-    smallest point."""
-    out: list[tuple[int, int]] = []
-    seen = [False] * len(images)
-    for start, image in enumerate(images):
-        if seen[start] or image == start:
-            continue
-        point = image
-        while point != start:
-            seen[point] = True
-            out.append((start, point))
-            point = images[point]
-    return out
-
 
 def _atomic_steps(x: tuple[int, ...], y: tuple[int, ...]
                   ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -237,6 +237,25 @@ def test_netlist_text_errors():
         Netlist(2, (Stage("u", Perm.from_cycles([(1, 2)]), None, (3,)),))
 
 
+def test_control_letter_outside_alphabet_is_rejected():
+    swap = Perm.from_cycles([(1, 2)], degree=3)
+    nl = Netlist(2, (Stage("tg", swap, 7, (1, 2)),))
+    with pytest.raises(ShapeError):
+        simulate(nl, A3)
+    with pytest.raises(ShapeError):
+        evaluate_term(netlist_to_term(nl), alphabet=A3)
+
+
+def test_only_tg_stages_take_a_control_letter():
+    swap = Perm.from_cycles([(1, 2)], degree=2)
+    with pytest.raises(ShapeError, match="u stage takes no control letter"):
+        Stage("u", swap, 5, (1,))
+    with pytest.raises(ShapeError, match="pi stage takes no control letter"):
+        Stage("pi", swap, 1, (1, 2))
+    nl = Netlist(1, (Stage("u", swap, None, (1,)),))
+    assert parse_netlist(format_netlist(nl, A2))[0] == nl
+
+
 def test_random_netlists_match_their_terms():
     rng = random.Random(2)
     for _ in range(60):

@@ -161,6 +161,14 @@ def test_identities_deterministic_and_green(capsys):
     assert "total failures: 0" in out1
 
 
+def test_identities_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "identities", "--alphabet", "2",
+                         "--trials", "-3")
+    assert code == 2
+    assert out == ""
+    assert "trial count must be non-negative" in err
+
+
 def test_scan_conjectures_observational_wording(capsys):
     code, out, _ = run(capsys, "scan-conjectures", "--alphabet", "2",
                        "--n", "3")

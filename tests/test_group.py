@@ -230,7 +230,20 @@ def test_degree_mismatch_errors():
     with pytest.raises(ShapeError):
         group.contains(TuplePerm((1, 0)))
     with pytest.raises(ShapeError):
+        group.witness(TuplePerm((1, 0)))
+    with pytest.raises(ShapeError):
         TupleGroup.build([TuplePerm((1, 0)), TuplePerm((1, 0, 2))])
+
+
+def test_word_indices_are_checked_alike():
+    group = TupleGroup.build([("a", TuplePerm((1, 0, 2))),
+                              ("b", TuplePerm((0, 2, 1)))])
+    assert group.witness_names((1, -2)) == ("a", "b^-1")
+    for word in [(0,), (3,), (-3,), (1, 0)]:
+        with pytest.raises(ShapeError, match="word index out of range"):
+            group.evaluate_word(word)
+        with pytest.raises(ShapeError, match="word index out of range"):
+            group.witness_names(word)
 
 
 def _products_up_to_four(count):

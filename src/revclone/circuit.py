@@ -751,8 +751,19 @@ def _int_token(token: str, what: str, line: int) -> int:
 _STAGE_FORMS = {"tg": "tg <n> <perm> <o>", "pi": "pi <perm>", "u": "u <perm>"}
 
 
+def _parse_perm_once(perms: dict[tuple[str, int], Perm], token: str,
+                     degree: int, line: int) -> Perm:
+    """_parse_perm_token through perms, which keeps every token that parsed
+    (so a bad token is reported on each line that has it)."""
+    key = (token, degree)
+    perm = perms.get(key)
+    if perm is None:
+        perm = perms[key] = _parse_perm_token(token, degree, line)
+    return perm
+
+
 def _parse_stage(parts: list[str], wires: int, alphabet: Alphabet | None,
-                 line: int) -> Stage:
+                 line: int, perms: dict[tuple[str, int], Perm]) -> Stage:
     if "@" not in parts[1:]:
         raise MapStyleError("stage line needs a kind and '@ wires'", line)
     at = parts.index("@", 1)
@@ -767,7 +778,7 @@ def _parse_stage(parts: list[str], wires: int, alphabet: Alphabet | None,
         if not 1 <= w <= wires:
             raise MapStyleError(f"stage wire {w} outside 1..{wires}", line)
     if kind == "pi":
-        perm = _parse_perm_token(head[1], len(stage_wires), line)
+        perm = _parse_perm_once(perms, head[1], len(stage_wires), line)
         return Stage("pi", perm, None, stage_wires)
     if alphabet is None:
         raise MapStyleError(f"{kind} stage needs an alphabet header", line)
@@ -777,8 +788,8 @@ def _parse_stage(parts: list[str], wires: int, alphabet: Alphabet | None,
             raise MapStyleError("tg width disagrees with wire list", line)
         o = _int_token(head[3], "a control letter", line)
         alphabet.check_letter(o)
-    perm = _parse_perm_token(head[2 if kind == "tg" else 1], alphabet.size,
-                             line)
+    perm = _parse_perm_once(perms, head[2 if kind == "tg" else 1],
+                            alphabet.size, line)
     return Stage(kind, perm, o, stage_wires)
 
 
@@ -789,6 +800,7 @@ def parse_netlist(text: str, alphabet: Alphabet | None = None
     MapStyleError with its line number."""
     wires = None
     stages = []
+    perms: dict[tuple[str, int], Perm] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -812,7 +824,8 @@ def parse_netlist(text: str, alphabet: Alphabet | None = None
             elif wires is None:
                 raise MapStyleError("stage before wires header", lineno)
             else:
-                stages.append(_parse_stage(parts, wires, alphabet, lineno))
+                stages.append(_parse_stage(parts, wires, alphabet, lineno,
+                                           perms))
         except ShapeError as exc:
             raise MapStyleError(str(exc), lineno) from None
     if wires is None:

@@ -19,8 +19,11 @@ class ShapeError(ValueError):
     """An operand has the wrong shape (arity, co-arity, length or range)."""
 
     def __init__(self, message: str, expected=None, actual=None):
-        if expected is not None or actual is not None:
-            message = f"{message}: expected {expected}, got {actual}"
+        given = [f"{label} {value}" for label, value
+                 in (("expected", expected), ("got", actual))
+                 if value is not None]
+        if given:
+            message = f"{message}: {', '.join(given)}"
         super().__init__(message)
         self.expected = expected
         self.actual = actual

@@ -2,9 +2,11 @@
 
 Ancilla embedding of an arbitrary map into a bijection, factorization of a
 bijection into elementary then atomic tuple swaps, realization of an
-atomic swap by controlled gates, the odd-alphabet lift of wide controlled
-gates down to one- and two-wire gates, the strong-temporary-storage lift
-down to three-wire gates, and the end-to-end synthesis pipeline.
+atomic swap by controlled gates, two odd-alphabet lifts of wide controlled
+gates down to one- and two-wire gates (the paper's ladder as a term, and
+a polynomial-size commutator lift as netlist stages), the
+strong-temporary-storage lift down to three-wire gates, and the
+end-to-end synthesis pipeline.
 
 Every construction is verified by simulation in the test suite: netlists
 and terms must reproduce their target tables exactly.
@@ -13,13 +15,13 @@ and terms must reproduce their target tables exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import gates, ops
 from .core import Alphabet, Map, NotBijectiveError, Perm, ShapeError, \
     _transpositions, decode, encode, is_bijective
 from .circuit import Bullet, IdLit, Netlist, Oplus, PiLit, Stage, Term, \
-    TgLit, letter_spec, netlist_to_term, perm_from_spec, pi_spec, \
-    simulate, spec_degree
+    TgLit, letter_spec, netlist_to_term, pi_spec, simulate
 from .group import from_map
 
 
@@ -295,6 +297,153 @@ def _lift_generator(n: int, gamma: Perm) -> Term:
                      actual=gamma.cycles())
 
 
+# -- commutator lift -----------------------------------------------------------
+
+_COMMUTATOR_CACHE: dict[tuple[int, ...], tuple[Perm, Perm]] = {}
+
+
+def _by_word_length(k: int) -> Iterator[tuple[int, ...]]:
+    """The images of every permutation of k letters, in the breadth-first
+    order of factor_over_standard: shortest words first."""
+    factor_over_standard(Perm.identity(k))
+    return iter(_FACTOR_CACHE[k])
+
+
+def _full_cycles(p: Perm) -> list[tuple[int, ...]]:
+    """The cycles of p with its fixed points as 1-cycles, longest first."""
+    cycles = list(p.cycles())
+    moved = {q for c in cycles for q in c}
+    cycles += [(q,) for q in range(1, p.degree + 1) if q not in moved]
+    return sorted(cycles, key=len, reverse=True)
+
+
+def _relabelling(x: Perm, d: Perm, sign: int) -> Perm | None:
+    """A permutation phi of the given sign with d(phi(q)) = phi(x(q)) for
+    every point q; None when there is no such phi."""
+    cx, cd = _full_cycles(x), _full_cycles(d)
+    if [len(c) for c in cx] != [len(c) for c in cd]:
+        return None
+
+    def align() -> Perm:
+        images = [0] * x.degree
+        for a, b in zip(cx, cd):
+            for q, r in zip(a, b):
+                images[q - 1] = r
+        return Perm(tuple(images))
+
+    phi = align()
+    if phi.sign() == sign:
+        return phi
+    # Composing phi with an odd permutation that commutes with x flips
+    # its sign: rotate along an even cycle of x, or exchange two cycles of
+    # the same odd length (adjacent, since cx is sorted by length).
+    for i, c in enumerate(cx):
+        if len(c) % 2 == 0:
+            cd[i] = cd[i][1:] + cd[i][:1]
+            return align()
+    for i in range(len(cx) - 1):
+        if len(cx[i]) == len(cx[i + 1]):
+            cd[i], cd[i + 1] = cd[i + 1], cd[i]
+            return align()
+    return None
+
+
+def _commutator(alpha: Perm) -> tuple[Perm, Perm]:
+    """beta and gamma with beta * gamma * beta^-1 * gamma^-1 == alpha, for
+    an even alpha on an odd number k of letters.
+
+    For k >= 5 both are even (every element of A_k is a commutator of two
+    of its elements: Ore, 1951); for k = 3 they are transpositions.  beta
+    is the first permutation of that sign, shortest words first, for which
+    beta^-1 * alpha is conjugate to beta^-1 by a permutation gamma of the
+    same sign.
+    """
+    pair = _COMMUTATOR_CACHE.get(alpha.images)
+    if pair is None:
+        k = alpha.degree
+        sign = -1 if k == 3 else 1
+        for images in _by_word_length(k):
+            beta = Perm(images)
+            if beta.sign() != sign:
+                continue
+            x = beta.inverse()
+            phi = _relabelling(x, x * alpha, sign)
+            if phi is not None:
+                pair = _COMMUTATOR_CACHE[alpha.images] = beta, phi.inverse()
+                break
+    return pair
+
+
+def _lift_stages(wires: tuple[int, ...], alpha: Perm) -> list[Stage]:
+    """Stages that apply alpha to the last wire when every other wire
+    carries the letter 1, each one of the four standard generators (the
+    swap and the cycle, unary or with one control) on at most two wires.
+    Odd alphabets only.
+
+    The gate C_P(alpha) with controls P is built recursively:
+    - |P| <= 1: the gate itself, factored over the swap and the cycle.
+    - alpha even: C_A(beta), C_B(gamma), C_A(beta^-1), C_B(gamma^-1) for
+      the halves A, B of P and a commutator beta * gamma * beta^-1 *
+      gamma^-1 == alpha: the commutator identity for controlled gates
+      (Barenco et al., Phys. Rev. A 52 (1995) 3457).
+    - alpha the swap, P = Q + (c): C_Q(swap) on the target, then k - 1
+      times C_Q(cycle) on c and C_c(swap) on the target, then C_Q(cycle)
+      on c.  When Q carries 1s, c steps through all k letters and back,
+      so the swap controlled by c fires once unless c starts at 1;
+      otherwise it fires k - 1 times (an even number) or never.
+    - alpha another transposition (a b): phi^-1 * swap * phi for the
+      phi with the shortest word that sends {1, 2} to {a, b}, with phi^-1
+      and phi as unary gates on the target around C_P(swap).
+    - alpha otherwise odd: C_P(swap), then the even C_P(swap * alpha).
+    The stage count grows polynomially with the width, where lift_odd's
+    grows exponentially.
+    """
+    k = alpha.degree
+    if k < 3 or k % 2 == 0:
+        raise ShapeError("the lift needs an odd alphabet of size >= 3",
+                         actual=k)
+    swap = Perm.from_cycles([(1, 2)], degree=k)
+    cycle = Perm.from_cycles([tuple(range(1, k + 1))], degree=k)
+    out: list[Stage] = []
+
+    def gate(controls: tuple[int, ...], target: int, perm: Perm) -> None:
+        if perm.is_identity():
+            return
+        if len(controls) <= 1:
+            kind, o = ("tg", 1) if controls else ("u", None)
+            out.extend(Stage(kind, gen, o, controls + (target,))
+                       for gen in factor_over_standard(perm))
+            return
+        if perm.sign() == 1:
+            half = len(controls) // 2
+            a, b = controls[:half], controls[half:]
+            beta, gamma = _commutator(perm)
+            gate(a, target, beta)
+            gate(b, target, gamma)
+            gate(a, target, beta.inverse())
+            gate(b, target, gamma.inverse())
+            return
+        cycles = perm.cycles()
+        if perm != swap and len(cycles) == 1 and len(cycles[0]) == 2:
+            ends = set(cycles[0])
+            phi = Perm(next(images for images in _by_word_length(k)
+                            if {images[0], images[1]} == ends))
+            gate((), target, phi.inverse())
+            gate(controls, target, swap)
+            gate((), target, phi)
+            return
+        q, c = controls[:-1], controls[-1]
+        gate(q, target, swap)
+        for _ in range(k - 1):
+            gate(q, c, cycle)
+            gate((c,), target, swap)
+        gate(q, c, cycle)
+        gate(controls, target, swap * perm)
+
+    gate(wires[:-1], wires[-1], alpha)
+    return out
+
+
 # -- strong temporary storage lift ---------------------------------------------
 
 @dataclass(frozen=True)
@@ -326,6 +475,10 @@ def lift_temp_storage(n_target: int, alpha: Perm, o: int,
         raise ShapeError("widths below four are primitive here",
                          expected=">= 4", actual=n_target)
     if p is None:
+        if k < 2:
+            raise ShapeError("the ancilla letter must differ from the "
+                             "control letter", expected="alphabet size >= 2",
+                             actual=k)
         p = next(letter for letter in alphabet.letters() if letter != o)
     alphabet.check_letter(p)
     if p == o:
@@ -361,39 +514,26 @@ def lift_temp_storage(n_target: int, alpha: Perm, o: int,
 
 # -- end-to-end synthesis --------------------------------------------------------
 
-def _term_stages(term: Term, k: int, wires: tuple[int, ...]
-                 ) -> tuple[list[Stage], int]:
-    """Flatten a stage-shaped term (bullets and juxtapositions of gate and
-    wire-permutation literals) into netlist stages whose term wire i is
-    wires[i - 1]; also return the number of wires the term spans."""
-    if isinstance(term, IdLit):
-        return [], term.n
-    if isinstance(term, TgLit):
-        perm = perm_from_spec(term.perm, k)
-        if term.n == 1:
-            return [Stage("u", perm, None, wires[:1])], 1
-        return [Stage("tg", perm, term.o, wires[:term.n])], term.n
-    if isinstance(term, PiLit):
-        d = spec_degree(term.perm)
-        swap = Perm.from_cycles([(1, 2)], degree=2)
-        stages = []
-        for cycle in perm_from_spec(term.perm, d).cycles():
-            for b in cycle[1:]:
-                stages.append(Stage("pi", swap, None,
-                                    (wires[cycle[0] - 1], wires[b - 1])))
-        return stages, d
-    if isinstance(term, Oplus):
-        left, ln = _term_stages(term.left, k, wires)
-        right, rn = _term_stages(term.right, k, wires[ln:])
-        return left + right, ln + rn
-    if isinstance(term, Bullet):
-        right, rn = _term_stages(term.right, k, wires)
-        left, ln = _term_stages(term.left, k, wires)
-        if ln != rn:
-            raise ShapeError("only balanced chains flatten to stages",
-                             expected=rn, actual=ln)
-        return right + left, ln
-    raise ShapeError(f"term node {type(term).__name__} is not stage-shaped")
+def _add_stage(stages: list[Stage], stage: Stage) -> None:
+    """Append stage, or drop it together with the nearest earlier stage
+    that shares a wire with it when the two cancel: the same kind, wires
+    and control letter with inverse permutations.  Only stages on disjoint
+    wires, which commute with both, lie between the two."""
+    wires = stage.wires
+    touched = set(wires)
+    undo = stage.perm.images
+    for i in range(len(stages) - 1, -1, -1):
+        prev = stages[i]
+        if not touched.isdisjoint(prev.wires):
+            # undo sends every image of prev.perm back to its point.
+            if (prev.wires == wires and prev.kind == stage.kind
+                    and prev.o == stage.o
+                    and all(undo[q - 1] == p
+                            for p, q in enumerate(prev.perm.images, 1))):
+                del stages[i]
+                return
+            break
+    stages.append(stage)
 
 
 def synthesize(f: Map, gate_policy: str = "tg-n", o: int = 1) -> Netlist:
@@ -401,10 +541,13 @@ def synthesize(f: Map, gate_policy: str = "tg-n", o: int = 1) -> Netlist:
 
     Policy "tg-n" uses controlled gates up to the full width.  Policy
     "odd-small" (odd alphabets only, control letter 1) further expands
-    every gate on three or more wires through the odd-alphabet lift and
-    rewrites the remaining letter permutations over the unary swap/cycle
-    and their two-wire gates, so every stage is one of the four standard
-    generators or a wire permutation.
+    every gate on three or more wires through the commutator lift, whose
+    size is polynomial in the width (lift_odd, the paper's ladder, grows
+    exponentially), and rewrites the remaining letter permutations over
+    the unary swap/cycle and their two-wire gates, so every stage is one
+    of the four standard generators or a wire permutation.  A stage that
+    would cancel the nearest earlier stage on a shared wire is dropped
+    together with it.
     """
     if f.arity != f.coarity or not is_bijective(f):
         raise NotBijectiveError("synthesis needs a balanced bijection")
@@ -422,27 +565,30 @@ def synthesize(f: Map, gate_policy: str = "tg-n", o: int = 1) -> Netlist:
             raise ShapeError("odd-small fixes the control letter to 1",
                              actual=o)
     n = f.arity
-    k = alphabet.size
-    swaps = _letter_swaps(k)
+    swaps = _letter_swaps(alphabet.size)
     stages: list[Stage] = []
     for i, j in _transpositions(f.codes):
         x, y = decode(i, alphabet, n), decode(j, alphabet, n)
         for u, v in _atomic_steps(x, y):
-            stages.extend(_swap_stages(u, v, o, swaps))
+            for stage in _swap_stages(u, v, o, swaps):
+                _add_stage(stages, stage)
     if gate_policy == "tg-n":
         return Netlist(n, tuple(stages))
-    narrow: list[Stage] = []
-    for stage in stages:
-        if stage.kind == "tg" and len(stage.wires) > 2:
-            term = lift_odd(len(stage.wires), stage.perm)
-            narrow.extend(_term_stages(term, k, stage.wires)[0])
-        else:
-            narrow.append(stage)
+    # Every wide gate is on all n wires, so its lift depends on its
+    # letter permutation alone.
+    lifts: dict[Perm, list[Stage]] = {}
     out: list[Stage] = []
-    for stage in narrow:
+    for stage in stages:
         if stage.kind == "pi":
-            out.append(stage)
+            narrow = [stage]
+        elif len(stage.wires) > 2:
+            narrow = lifts.get(stage.perm)
+            if narrow is None:
+                narrow = lifts[stage.perm] = _lift_stages(stage.wires,
+                                                          stage.perm)
         else:
-            out.extend(Stage(stage.kind, gen, stage.o, stage.wires)
-                       for gen in factor_over_standard(stage.perm))
+            narrow = [Stage(stage.kind, gen, stage.o, stage.wires)
+                      for gen in factor_over_standard(stage.perm)]
+        for s in narrow:
+            _add_stage(out, s)
     return Netlist(n, tuple(out))

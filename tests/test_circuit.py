@@ -256,6 +256,21 @@ def test_only_tg_stages_take_a_control_letter():
     assert parse_netlist(format_netlist(nl, A2))[0] == nl
 
 
+def test_parse_netlist_reads_each_token_at_its_degree():
+    text = ("alphabet 3\nwires 3\npi (1,2) @ 1 2\npi (1,2) @ 1 2 3\n"
+            "u (1,2) @ 1\ntg 2 (1,2) 1 @ 1 2\nu (1,2) @ 3\n")
+    nl, _ = parse_netlist(text)
+    assert [s.perm.degree for s in nl.stages] == [2, 3, 3, 3, 3]
+    assert nl.stages[2].perm == nl.stages[4].perm
+    # "(1,3)" parses for the letters but not for a two-wire swap, and each
+    # bad occurrence is reported on its own line.
+    text = "alphabet 3\nwires 2\nu (1,3) @ 1\npi (1,3) @ 1 2\n"
+    with pytest.raises(MapStyleError, match=r"^line 4: "):
+        parse_netlist(text)
+    with pytest.raises(MapStyleError, match=r"^line 4: "):
+        parse_netlist(text + "pi (1,3) @ 1 2\n")
+
+
 def test_random_netlists_match_their_terms():
     rng = random.Random(2)
     for _ in range(60):

@@ -199,3 +199,19 @@ def test_usage_and_data_errors(tmp_path, capsys):
                        "--perm", "id", "--o", "1")
     assert code == 2
     assert "write cycles like (1,2)(3,4)" in err
+
+
+def test_shape_errors_report_only_what_they_know(capsys):
+    code, _, err = run(capsys, "lift-odd", "--alphabet", "3", "--n", "0",
+                       "--swap")
+    assert code == 2
+    assert "gate width must be positive: got 0" in err
+    assert "None" not in err
+
+
+def test_lift_ts_on_a_one_letter_alphabet_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "lift-ts", "--alphabet", "1", "--n", "4",
+                         "--perm", "()", "--o", "1")
+    assert code == 2
+    assert out == ""
+    assert "alphabet size >= 2" in err

@@ -37,6 +37,14 @@ def test_encode_decode_roundtrip_exhaustive():
                 assert decode(index, alphabet, n) == t
 
 
+def test_shape_error_names_only_the_given_parts():
+    assert str(ShapeError("bad")) == "bad"
+    assert str(ShapeError("bad", actual=0)) == "bad: got 0"
+    assert str(ShapeError("bad", expected=">= 1")) == "bad: expected >= 1"
+    assert str(ShapeError("bad", expected=2, actual=3)) == (
+        "bad: expected 2, got 3")
+
+
 def test_encode_errors():
     with pytest.raises(ShapeError):
         encode((1, 2, 1), A2, 2)

@@ -3,7 +3,9 @@ verdicts, synthesis, embedding and CLI reports under fixed seeds.
 
 The digests were recorded when a Map still stored its table as output
 tuples; the encoded-code representation must reproduce every one of them
-byte for byte.
+byte for byte.  The exceptions are the synthesized netlists and the
+``synth`` CLI reports, recorded again when synthesis began to drop
+cancelling stage pairs and to lift odd-small gates by commutators.
 """
 
 import dataclasses
@@ -183,15 +185,32 @@ def test_temp_storage_verdicts_are_pinned():
         "3ef946880dfbd4faddb5dca043192bd75df378a1e925ca47b5978f53687af268")
 
 
-def test_synthesis_embedding_and_lifts_are_pinned():
+def _synthesis_draws():
+    """The bijections synthesized by test_synthesized_netlists_are_pinned,
+    then the generator that goes on to draw the embedded maps."""
     rng = random.Random(5)
+    targets = [random_bijection(rng, Alphabet(k), n)
+               for k, n in ((2, 3), (3, 2), (2, 1))]
+    return targets, random_bijection(rng, A3, 2), rng
+
+
+def test_synthesized_netlists_are_pinned():
+    targets, odd_small, _ = _synthesis_draws()
     record = []
-    for k, n in ((2, 3), (3, 2), (2, 1)):
-        f = random_bijection(rng, Alphabet(k), n)
+    for f in targets:
         record.append(format_netlist(synthesize(f), f.alphabet))
         record.append(format_netlist(synthesize(f, o=2), f.alphabet))
-    f = random_bijection(rng, A3, 2)
-    record.append(format_netlist(synthesize(f, gate_policy="odd-small"), A3))
+    record.append(format_netlist(synthesize(odd_small,
+                                            gate_policy="odd-small"), A3))
+    assert _digest(record) == (
+        "a1415996269630ef2dbe9f2e5f85792266dfd31f0d37080002d2baf54c8d9119")
+
+
+def test_synthesis_embedding_and_lifts_are_pinned():
+    # Embeddings and temporary-storage lifts; the synthesized netlists
+    # drawn before them are pinned by test_synthesized_netlists_are_pinned.
+    _, _, rng = _synthesis_draws()
+    record = []
     for arity, coarity in ((2, 1), (1, 2), (2, 2), (3, 1), (0, 2), (2, 0)):
         g = random_table_map(rng, A3, arity, coarity)
         for o in (1, 3):
@@ -204,19 +223,19 @@ def test_synthesis_embedding_and_lifts_are_pinned():
         record.append((lift.constants, format_netlist(lift.netlist),
                        _map_record(lift.reduct), _map_record(lift.realiser)))
     assert _digest(record) == (
-        "9c355cef57e0dc7079e4be0152c1da31262b432d22cacad6f03987dabe694055")
+        "e25de1ecb67cb9d1ac7e6bac9423614b4db348ae15d14d2ca65b7086d1220c6c")
 
 
 def test_synthesis_through_the_lift_is_pinned():
-    # Three wires send every odd-small gate through lift_odd; four wires
-    # give tg-n wire swaps, unary layers and four-wire gates.
+    # Three wires send every odd-small gate through the commutator lift;
+    # four wires give tg-n wire swaps, unary layers and four-wire gates.
     rng = random.Random(17)
     f = random_bijection(rng, A3, 3)
     record = [format_netlist(synthesize(f, gate_policy="odd-small"), A3)]
     f = random_bijection(rng, A3, 4)
     record.extend(format_netlist(synthesize(f, o=o), A3) for o in (1, 3))
     assert _digest(record) == (
-        "a9b49e1a8e2e84fd90469ebaa5ffdcb4ed1a67ebcc7e4126a88ae03834a74862")
+        "1fbfeba8454dc93ea287dca35e3845d50d47585b9ebecaba533b6ccedcc7cb0d")
 
 
 def test_identities_random_map_draws_are_pinned():
@@ -233,7 +252,8 @@ def _cli(capsys, *argv):
     return code, captured.out
 
 
-def test_cli_reports_are_pinned(tmp_path, capsys):
+def _cli_files(tmp_path):
+    """The map and circuit files the pinned CLI reports read, by name."""
     rng = random.Random(13)
     maps = tmp_path / "maps"
     maps.mkdir()
@@ -249,14 +269,17 @@ def test_cli_reports_are_pinned(tmp_path, capsys):
     bij.write_text(format_map(random_bijection(rng, A3, 2)))
     bij2 = tmp_path / "bij2.map"
     bij2.write_text(format_map(random_bijection(rng, A2, 3)))
+    return {"maps": str(maps), "circ": str(circ), "fn": str(fn),
+            "bij": str(bij), "bij2": str(bij2)}
+
+
+def test_cli_reports_are_pinned(tmp_path, capsys):
+    files = _cli_files(tmp_path)
     invocations = [
-        ("eval", str(circ), "--maps", str(maps)),
-        ("eval", str(circ), "--maps", str(maps), "--json"),
-        ("embed", str(fn)),
-        ("embed", str(fn), "--json"),
-        ("synth", str(bij)),
-        ("synth", str(bij), "--policy", "odd-small"),
-        ("synth", str(bij2), "--o", "2", "--json"),
+        ("eval", files["circ"], "--maps", files["maps"]),
+        ("eval", files["circ"], "--maps", files["maps"], "--json"),
+        ("embed", files["fn"]),
+        ("embed", files["fn"], "--json"),
         ("lift-odd", "--alphabet", "3", "--n", "3", "--cycle"),
         ("lift-odd", "--alphabet", "5", "--n", "3", "--swap", "--json"),
         ("lift-ts", "--alphabet", "2", "--n", "5", "--perm", "(1,2)",
@@ -271,4 +294,16 @@ def test_cli_reports_are_pinned(tmp_path, capsys):
     ]
     record = [_cli(capsys, *argv) for argv in invocations]
     assert _digest(record) == (
-        "7e49160f482fc2dbcaafe4eeb6759e05ee35d24382635186246e215c17f42de6")
+        "3810bfc4658d5d03416ac213a0d9ff2e3bc0c37dffa3e5e528697ac101ec8680")
+
+
+def test_cli_synth_reports_are_pinned(tmp_path, capsys):
+    files = _cli_files(tmp_path)
+    invocations = [
+        ("synth", files["bij"]),
+        ("synth", files["bij"], "--policy", "odd-small"),
+        ("synth", files["bij2"], "--o", "2", "--json"),
+    ]
+    record = [_cli(capsys, *argv) for argv in invocations]
+    assert _digest(record) == (
+        "6521f4f4245f1b90dc5a18f21d4bd54dad3ee9e68c3f0736932c331d23b3db8f")

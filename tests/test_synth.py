@@ -1,16 +1,18 @@
+import itertools
 import random
 
 import pytest
 
-from revclone.circuit import evaluate_term, simulate
+from revclone.circuit import (Bullet, Netlist, Oplus, TgLit, evaluate_term,
+                              shape_of, simulate)
 from revclone.closure import check_temp_storage
 from revclone.core import (Alphabet, Map, NotBijectiveError, Perm,
                            ShapeError, evaluate, identity_map, is_bijective)
 from revclone import gates
 from revclone.gates import elementary, is_atomic, tg
-from revclone.synth import (atomic_to_gates, decompose_elementary,
-                            elementary_to_atomic, embed,
-                            factor_over_standard, lift_odd,
+from revclone.synth import (_lift_stages, atomic_to_gates,
+                            decompose_elementary, elementary_to_atomic,
+                            embed, factor_over_standard, lift_odd,
                             lift_temp_storage, synthesize)
 
 from oracles import apply_in_order, random_bijection, random_table_map
@@ -219,15 +221,21 @@ def test_lift_odd_base_cases_are_literals():
     assert evaluate_term(lift_odd(1, SWAP3), alphabet=A3) == tg(1, SWAP3, 1)
 
 
-def test_lift_odd_stage_widths_are_small():
-    from revclone.synth import _term_stages
+def _gate_widths(term):
+    if isinstance(term, TgLit):
+        return [term.n]
+    if isinstance(term, (Bullet, Oplus)):
+        return _gate_widths(term.left) + _gate_widths(term.right)
+    return []
 
+
+def test_lift_odd_stage_widths_are_small():
     for perm in (SWAP3, CYCLE3):
         term = lift_odd(3, perm)
-        stages, width = _term_stages(term, 3, (1, 2, 3))
-        assert width == 3
-        assert stages
-        assert all(len(s.wires) <= 2 for s in stages)
+        assert shape_of(term) == (3, 3)
+        widths = _gate_widths(term)
+        assert widths
+        assert max(widths) <= 2
 
 
 def test_lift_odd_k5_square_root():
@@ -254,6 +262,57 @@ def test_lift_odd_five_letters():
     cycle5 = Perm.from_cycles([(1, 2, 3, 4, 5)])
     assert evaluate_term(lift_odd(3, swap5), alphabet=A5) == tg(3, swap5, 1)
     assert evaluate_term(lift_odd(3, cycle5), alphabet=A5) == tg(3, cycle5, 1)
+
+
+# -- commutator lift -----------------------------------------------------------
+
+def _standard(k):
+    return (Perm.from_cycles([(1, 2)], degree=k),
+            Perm.from_cycles([tuple(range(1, k + 1))], degree=k))
+
+
+def _check_lift(n, alpha):
+    k = alpha.degree
+    stages = _lift_stages(tuple(range(1, n + 1)), alpha)
+    assert simulate(Netlist(n, stages), Alphabet(k)) == tg(n, alpha, 1)
+    for stage in stages:
+        assert stage.kind in ("u", "tg")
+        assert len(stage.wires) <= 2
+        assert stage.perm in _standard(k)
+        if stage.kind == "tg":
+            assert stage.o == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_commutator_lift_every_ternary_gate(n):
+    for images in itertools.permutations((1, 2, 3)):
+        _check_lift(n, Perm(images))
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_commutator_lift_sampled_gates(k):
+    rng = random.Random(24 + k)
+    for n in (3, 4):
+        for _ in range(4):
+            images = list(range(1, k + 1))
+            rng.shuffle(images)
+            _check_lift(n, Perm(tuple(images)))
+    # Both signs and the cycle, whose lifts take other branches.
+    _check_lift(3, _standard(k)[0])
+    _check_lift(3, _standard(k)[1])
+
+
+def test_commutator_lift_is_polynomial():
+    # The paper's ladder (lift_odd) needs 30,966 stages for this gate.
+    swap5 = Perm.from_cycles([(1, 2)], degree=5)
+    nl = synthesize(tg(5, swap5, 1), "odd-small")
+    assert len(nl.stages) < 3000
+    assert all(len(s.wires) <= 2 for s in nl.stages)
+
+
+def test_commutator_lift_rejects_even_alphabets():
+    with pytest.raises(ShapeError):
+        _lift_stages((1, 2, 3), SWAP2)
 
 
 # -- strong temporary storage lift --------------------------------------------
@@ -297,6 +356,8 @@ def test_lift_temp_storage_errors():
         lift_temp_storage(3, SWAP2, 1)
     with pytest.raises(ShapeError):
         lift_temp_storage(4, SWAP2, 1, 1)
+    with pytest.raises(ShapeError, match="alphabet size >= 2"):
+        lift_temp_storage(4, Perm.identity(1), 1)
 
 
 # -- synthesis -----------------------------------------------------------------
@@ -388,3 +449,29 @@ def test_synthesize_builds_no_swap_maps(monkeypatch):
         f = random_bijection(rng, alphabet, n)
         nl = synthesize(f, gate_policy=policy, o=o)
         assert simulate(nl, alphabet) == f
+
+
+def _cancels(earlier, later):
+    return (earlier.kind == later.kind and earlier.wires == later.wires
+            and earlier.o == later.o
+            and (earlier.perm * later.perm).is_identity())
+
+
+def test_synthesize_keeps_no_cancelling_stage_pair():
+    # Each stage is checked against the nearest earlier stage that shares
+    # a wire with it; the stages in between commute with both.
+    rng = random.Random(31)
+    for k, n in ((2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)):
+        alphabet = Alphabet(k)
+        policies = ("tg-n", "odd-small") if k % 2 else ("tg-n",)
+        for policy in policies:
+            for _ in range(3):
+                f = random_bijection(rng, alphabet, n)
+                nl = synthesize(f, policy)
+                assert simulate(nl, alphabet) == f
+                stages = nl.stages
+                for i, stage in enumerate(stages):
+                    for j in range(i - 1, -1, -1):
+                        if set(stages[j].wires) & set(stage.wires):
+                            assert not _cancels(stages[j], stage)
+                            break

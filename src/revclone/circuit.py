@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from functools import reduce
+from typing import Mapping, Sequence
 
 from . import gates, ops
-from .core import Alphabet, Map, Perm, ShapeError, identity_map
+from .core import Alphabet, Map, MapFormatError, Perm, ShapeError, \
+    identity_map
 
 PermSpec = tuple[tuple[int, ...], ...]
 
@@ -94,33 +96,33 @@ class Bullet(Term):
 
 
 @dataclass(frozen=True)
-class Tau(Term):
+class Unary(Term):
+    """A one-child operator node; _UNARY describes each kind."""
     child: Term
 
 
-@dataclass(frozen=True)
-class Zeta(Term):
-    child: Term
+class Tau(Unary):
+    """(tau T): swap the first two inputs."""
 
 
-@dataclass(frozen=True)
-class BarTau(Term):
-    child: Term
+class Zeta(Unary):
+    """(zeta T): rotate the inputs."""
 
 
-@dataclass(frozen=True)
-class BarZeta(Term):
-    child: Term
+class BarTau(Unary):
+    """(btau T): swap the first two outputs."""
 
 
-@dataclass(frozen=True)
-class Delta(Term):
-    child: Term
+class BarZeta(Unary):
+    """(bzeta T): rotate the outputs."""
 
 
-@dataclass(frozen=True)
-class Nabla(Term):
-    child: Term
+class Delta(Unary):
+    """(delta T): identify the first two inputs."""
+
+
+class Nabla(Unary):
+    """(nabla T): add a dummy first input."""
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,20 @@ class Sel(Term):
 class Ins(Term):
     items: tuple[tuple[int, int], ...]
     child: Term
+
+
+# Each unary node's operator name, the path step that shape errors name
+# below it, and its map operation's name in ops, looked up per call so that
+# wrappers rebound in ops (the benchmark's tracer) see the call.
+_UNARY: dict[type, tuple[str, str, str]] = {
+    Tau: ("tau", ".in-perm", "tau"),
+    Zeta: ("zeta", ".in-perm", "zeta"),
+    BarTau: ("btau", ".out-perm", "bar_tau"),
+    BarZeta: ("bzeta", ".out-perm", "bar_zeta"),
+    Delta: ("delta", ".delta", "delta"),
+    Nabla: ("nabla", ".nabla", "nabla"),
+}
+_UNARY_BY_NAME = {name: cls for cls, (name, _, _) in _UNARY.items()}
 
 
 @dataclass(frozen=True)
@@ -149,10 +165,6 @@ def spec_degree(spec: PermSpec) -> int:
     if not points:
         raise ShapeError("permutation literal mentions no points")
     return max(points)
-
-
-def perm_from_spec(spec: PermSpec, degree: int) -> Perm:
-    return Perm.from_cycles(spec, degree=degree)
 
 
 def pi_spec(perm: Perm) -> PermSpec:
@@ -179,61 +191,40 @@ def letter_spec(perm: Perm) -> PermSpec:
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        c = text[i]
-        if c == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c in "()":
-            tokens.append((c, c, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < len(text) and not text[i].isspace() and text[i] not in "()#":
-                i += 1
-                col += 1
-            tokens.append(("atom", text[start:i], line, start_col))
-    return tokens
+# One match per newline, comment, parenthesis or atom; other whitespace is
+# skipped between matches.
+_TOKEN_RE = re.compile(r"(?P<nl>\n)|#[^\n]*|(?P<open>\()|(?P<close>\))"
+                       r"|(?P<atom>[^\s()#]+)")
 
 
 def _read_sexps(text: str):
-    tokens = _tokenize(text)
-    pos = 0
-
-    def read_one():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise CircuitParseError("unexpected end of input", 0, 0)
-        kind, value, line, col = tokens[pos]
-        pos += 1
-        if kind == "(":
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise CircuitParseError("unclosed '('", line, col)
-                if tokens[pos][0] == ")":
-                    pos += 1
-                    return ("list", items, line, col)
-                items.append(read_one())
-        if kind == ")":
+    """The top-level forms of text as ("atom", text, line, col) and
+    ("list", items, line, col) nodes, positions 1-based."""
+    forms: list = []
+    open_lists: list[tuple[list, int, int]] = []
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "nl":
+            line += 1
+            line_start = match.end()
+            continue
+        if kind is None:
+            continue
+        col = match.start() - line_start + 1
+        if kind == "open":
+            open_lists.append(([], line, col))
+            continue
+        if kind == "atom":
+            node = ("atom", match.group(), line, col)
+        elif open_lists:
+            node = ("list", *open_lists.pop())
+        else:
             raise CircuitParseError("unmatched ')'", line, col)
-        return ("atom", value, line, col)
-
-    forms = []
-    while pos < len(tokens):
-        forms.append(read_one())
+        (open_lists[-1][0] if open_lists else forms).append(node)
+    if open_lists:
+        _, line, col = open_lists[-1]
+        raise CircuitParseError("unclosed '('", line, col)
     return forms
 
 
@@ -250,15 +241,17 @@ def _as_int(node, what: str) -> int:
         raise _err(node, f"expected {what} (an integer), got {node[1]!r}") from None
 
 
-def _is_p_list(node) -> bool:
-    return (node[0] == "list" and node[1]
-            and node[1][0][0] == "atom" and node[1][0][1] == "p")
+def _head(node) -> str | None:
+    """The operator of a list node: its first item, when that is an atom."""
+    if node[0] == "list" and node[1] and node[1][0][0] == "atom":
+        return node[1][0][1]
+    return None
 
 
 def _cycles_from(nodes) -> PermSpec:
     cycles = []
     for node in nodes:
-        if not _is_p_list(node):
+        if _head(node) != "p":
             raise _err(node, "expected a cycle group (p a b ...)")
         cycle = tuple(_as_int(item, "a point") for item in node[1][1:])
         if not cycle:
@@ -273,11 +266,10 @@ def _term_from_sexp(node) -> Term:
         if _NAME_RE.match(text):
             return Ref(text)
         raise _err(node, f"expected a term, got {text!r}")
-    items = node[1]
-    if not items or items[0][0] != "atom":
+    head = _head(node)
+    if head is None:
         raise _err(node, "expected an operator")
-    head = items[0][1]
-    args = items[1:]
+    args = node[1][1:]
     if head == "id":
         if len(args) != 1:
             raise _err(node, "id takes one argument")
@@ -295,23 +287,17 @@ def _term_from_sexp(node) -> Term:
     if head in ("oplus", "bullet"):
         if len(args) < 2:
             raise _err(node, f"{head} takes at least two arguments")
-        terms = [_term_from_sexp(a) for a in args]
         ctor = Oplus if head == "oplus" else Bullet
-        out = terms[0]
-        for nxt in terms[1:]:
-            out = ctor(out, nxt)
-        return out
+        return reduce(ctor, [_term_from_sexp(a) for a in args])
     if head == "comp":
         if len(args) != 3:
             raise _err(node, "comp takes k and two terms")
         return Comp(_as_int(args[0], "k"),
                     _term_from_sexp(args[1]), _term_from_sexp(args[2]))
-    if head in ("tau", "zeta", "btau", "bzeta", "delta", "nabla"):
+    if head in _UNARY_BY_NAME:
         if len(args) != 1:
             raise _err(node, f"{head} takes one argument")
-        ctor = {"tau": Tau, "zeta": Zeta, "btau": BarTau,
-                "bzeta": BarZeta, "delta": Delta, "nabla": Nabla}[head]
-        return ctor(_term_from_sexp(args[0]))
+        return _UNARY_BY_NAME[head](_term_from_sexp(args[0]))
     if head == "sel":
         if len(args) != 2 or args[0][0] != "list":
             raise _err(node, "sel takes an index list and a term")
@@ -346,16 +332,15 @@ def parse_program(text: str) -> Program:
     lets: list[tuple[str, Term]] = []
     result = None
     for node in forms:
-        if (node[0] == "list" and node[1] and node[1][0][0] == "atom"
-                and node[1][0][1] == "alphabet"):
+        head = _head(node)
+        if head == "alphabet":
             if alphabet is not None:
                 raise _err(node, "duplicate alphabet declaration")
             if len(node[1]) != 2:
                 raise _err(node, "alphabet takes one integer")
             alphabet = _as_int(node[1][1], "an alphabet size")
             continue
-        if (node[0] == "list" and node[1] and node[1][0][0] == "atom"
-                and node[1][0][1] == "let"):
+        if head == "let":
             if len(node[1]) != 3 or node[1][1][0] != "atom":
                 raise _err(node, "let takes a name and a term")
             name = node[1][1][1]
@@ -393,10 +378,8 @@ def print_term(t: Term) -> str:
         return f"(comp {t.k} {print_term(t.left)} {print_term(t.right)})"
     if isinstance(t, Bullet):
         return f"(bullet {print_term(t.left)} {print_term(t.right)})"
-    for cls, name in ((Tau, "tau"), (Zeta, "zeta"), (BarTau, "btau"),
-                      (BarZeta, "bzeta"), (Delta, "delta"), (Nabla, "nabla")):
-        if isinstance(t, cls):
-            return f"({name} {print_term(t.child)})"
+    if isinstance(t, Unary):
+        return f"({_UNARY[type(t)][0]} {print_term(t.child)})"
     if isinstance(t, Sel):
         return f"(sel ({' '.join(map(str, t.indices))}) {print_term(t.child)})"
     if isinstance(t, Ins):
@@ -448,16 +431,13 @@ def _shape(t: Term, shapes, path: str) -> tuple[int, int]:
             raise _fail(path, "composition out of range",
                         expected=f"0 <= k <= min({ln}, {rm})", actual=k)
         return (ln + rn - k, lm + rm - k)
-    if isinstance(t, (Tau, Zeta)):
-        return _shape(t.child, shapes, path + ".in-perm")
-    if isinstance(t, (BarTau, BarZeta)):
-        return _shape(t.child, shapes, path + ".out-perm")
-    if isinstance(t, Delta):
-        n, m = _shape(t.child, shapes, path + ".delta")
-        return (n - 1, m) if n >= 2 else (n, m)
-    if isinstance(t, Nabla):
-        n, m = _shape(t.child, shapes, path + ".nabla")
-        return (n + 1, m)
+    if isinstance(t, Unary):
+        n, m = _shape(t.child, shapes, path + _UNARY[type(t)][1])
+        if isinstance(t, Delta):
+            return (n - 1, m) if n >= 2 else (n, m)
+        if isinstance(t, Nabla):
+            return (n + 1, m)
+        return (n, m)
     if isinstance(t, Sel):
         n, m = _shape(t.child, shapes, path + ".sel")
         if len(set(t.indices)) != len(t.indices):
@@ -511,10 +491,11 @@ def _eval(t: Term, bindings, alphabet: Alphabet | None) -> Map:
         return identity_map(_need_alphabet(alphabet), t.n)
     if isinstance(t, TgLit):
         k = _need_alphabet(alphabet).size
-        return gates.tg(t.n, perm_from_spec(t.perm, k), t.o)
+        return gates.tg(t.n, Perm.from_cycles(t.perm, degree=k), t.o)
     if isinstance(t, PiLit):
         d = spec_degree(t.perm)
-        return ops.pi(_need_alphabet(alphabet), perm_from_spec(t.perm, d))
+        return ops.pi(_need_alphabet(alphabet),
+                      Perm.from_cycles(t.perm, degree=d))
     if isinstance(t, Oplus):
         return ops.oplus(_eval(t.left, bindings, alphabet),
                          _eval(t.right, bindings, alphabet))
@@ -524,18 +505,9 @@ def _eval(t: Term, bindings, alphabet: Alphabet | None) -> Map:
     if isinstance(t, Bullet):
         return ops.bullet(_eval(t.left, bindings, alphabet),
                           _eval(t.right, bindings, alphabet))
-    if isinstance(t, Tau):
-        return ops.tau(_eval(t.child, bindings, alphabet))
-    if isinstance(t, Zeta):
-        return ops.zeta(_eval(t.child, bindings, alphabet))
-    if isinstance(t, BarTau):
-        return ops.bar_tau(_eval(t.child, bindings, alphabet))
-    if isinstance(t, BarZeta):
-        return ops.bar_zeta(_eval(t.child, bindings, alphabet))
-    if isinstance(t, Delta):
-        return ops.delta(_eval(t.child, bindings, alphabet))
-    if isinstance(t, Nabla):
-        return ops.nabla(_eval(t.child, bindings, alphabet))
+    if isinstance(t, Unary):
+        operation = getattr(ops, _UNARY[type(t)][2])
+        return operation(_eval(t.child, bindings, alphabet))
     if isinstance(t, Sel):
         return ops.select(t.indices, _eval(t.child, bindings, alphabet))
     if isinstance(t, Ins):
@@ -680,25 +652,21 @@ def stage_term(stage: Stage, width: int) -> Term:
                   PiLit(pi_spec(route)))
 
 
-def netlist_to_term(nl: Netlist) -> Term:
-    """A term denoting the same map as the netlist: the bullet-chain of
-    the stage terms, last stage outermost because bullet applies its right
-    argument first."""
-    term: Term = IdLit(nl.wires)
-    for i, stage in enumerate(nl.stages):
-        st = stage_term(stage, nl.wires)
-        term = st if i == 0 else Bullet(st, term)
+def _fold_applied(factors: Sequence[Term]) -> Term:
+    """Bullet-chain of factors given in application order: the last one
+    outermost, because bullet applies its right argument first."""
+    term = factors[0]
+    for nxt in factors[1:]:
+        term = Bullet(nxt, term)
     return term
 
 
-class MapStyleError(ValueError):
-    """Malformed netlist text."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+def netlist_to_term(nl: Netlist) -> Term:
+    """A term denoting the same map as the netlist: the bullet-chain of
+    the stage terms, or the identity when there are none."""
+    if not nl.stages:
+        return IdLit(nl.wires)
+    return _fold_applied([stage_term(stage, nl.wires) for stage in nl.stages])
 
 
 def perm_token(perm: Perm) -> str:
@@ -713,14 +681,14 @@ def _parse_perm_token(token: str, degree: int, line: int | None = None
     if token == "()":
         return Perm.identity(degree)
     if not re.fullmatch(r"(\(\d+(,\d+)*\))+", token):
-        raise MapStyleError(f"bad permutation token {token!r}; "
-                            "write cycles like (1,2)(3,4)", line)
+        raise MapFormatError(f"bad permutation token {token!r}; "
+                             "write cycles like (1,2)(3,4)", line)
     cycles = [tuple(int(x) for x in group.split(","))
               for group in re.findall(r"\(([\d,]+)\)", token)]
     try:
         return Perm.from_cycles(cycles, degree=degree)
     except ShapeError as exc:
-        raise MapStyleError(str(exc), line) from None
+        raise MapFormatError(str(exc), line) from None
 
 
 def format_netlist(nl: Netlist, alphabet: Alphabet | None = None) -> str:
@@ -733,10 +701,8 @@ def format_netlist(nl: Netlist, alphabet: Alphabet | None = None) -> str:
         if stage.kind == "tg":
             lines.append(f"tg {len(stage.wires)} {perm_token(stage.perm)} "
                          f"{stage.o} @ {wires}")
-        elif stage.kind == "pi":
-            lines.append(f"pi {perm_token(stage.perm)} @ {wires}")
         else:
-            lines.append(f"u {perm_token(stage.perm)} @ {wires}")
+            lines.append(f"{stage.kind} {perm_token(stage.perm)} @ {wires}")
     return "\n".join(lines) + "\n"
 
 
@@ -744,8 +710,8 @@ def _int_token(token: str, what: str, line: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise MapStyleError(f"{what} must be an integer, got {token!r}",
-                            line) from None
+        raise MapFormatError(f"{what} must be an integer, got {token!r}",
+                             line) from None
 
 
 _STAGE_FORMS = {"tg": "tg <n> <perm> <o>", "pi": "pi <perm>", "u": "u <perm>"}
@@ -765,27 +731,27 @@ def _parse_perm_once(perms: dict[tuple[str, int], Perm], token: str,
 def _parse_stage(parts: list[str], wires: int, alphabet: Alphabet | None,
                  line: int, perms: dict[tuple[str, int], Perm]) -> Stage:
     if "@" not in parts[1:]:
-        raise MapStyleError("stage line needs a kind and '@ wires'", line)
+        raise MapFormatError("stage line needs a kind and '@ wires'", line)
     at = parts.index("@", 1)
     head, wire_toks = parts[:at], parts[at + 1:]
     kind = head[0]
     if kind not in _STAGE_FORMS:
-        raise MapStyleError(f"unknown stage kind {kind!r}", line)
+        raise MapFormatError(f"unknown stage kind {kind!r}", line)
     if len(head) != len(_STAGE_FORMS[kind].split()):
-        raise MapStyleError(f"{kind} stage is {_STAGE_FORMS[kind]!r}", line)
+        raise MapFormatError(f"{kind} stage is {_STAGE_FORMS[kind]!r}", line)
     stage_wires = tuple(_int_token(w, "a wire", line) for w in wire_toks)
     for w in stage_wires:
         if not 1 <= w <= wires:
-            raise MapStyleError(f"stage wire {w} outside 1..{wires}", line)
+            raise MapFormatError(f"stage wire {w} outside 1..{wires}", line)
     if kind == "pi":
         perm = _parse_perm_once(perms, head[1], len(stage_wires), line)
         return Stage("pi", perm, None, stage_wires)
     if alphabet is None:
-        raise MapStyleError(f"{kind} stage needs an alphabet header", line)
+        raise MapFormatError(f"{kind} stage needs an alphabet header", line)
     o = None
     if kind == "tg":
         if _int_token(head[1], "a tg width", line) != len(stage_wires):
-            raise MapStyleError("tg width disagrees with wire list", line)
+            raise MapFormatError("tg width disagrees with wire list", line)
         o = _int_token(head[3], "a control letter", line)
         alphabet.check_letter(o)
     perm = _parse_perm_once(perms, head[2 if kind == "tg" else 1],
@@ -797,7 +763,7 @@ def parse_netlist(text: str, alphabet: Alphabet | None = None
                   ) -> tuple[Netlist, Alphabet | None]:
     """Parse netlist text.  Returns the netlist and the alphabet named in
     the header (or the one passed in).  Malformed text raises
-    MapStyleError with its line number."""
+    MapFormatError with its line number."""
     wires = None
     stages = []
     perms: dict[tuple[str, int], Perm] = {}
@@ -807,27 +773,27 @@ def parse_netlist(text: str, alphabet: Alphabet | None = None
             continue
         try:
             if parts[0] in ("alphabet", "wires") and len(parts) != 2:
-                raise MapStyleError(f"{parts[0]} takes one integer", lineno)
+                raise MapFormatError(f"{parts[0]} takes one integer", lineno)
             if parts[0] == "alphabet":
                 declared = Alphabet(_int_token(parts[1], "alphabet", lineno))
                 if alphabet is not None and alphabet != declared:
-                    raise MapStyleError("alphabet header conflicts with "
-                                        "caller", lineno)
+                    raise MapFormatError("alphabet header conflicts with "
+                                         "caller", lineno)
                 alphabet = declared
             elif parts[0] == "wires":
                 if wires is not None:
-                    raise MapStyleError("duplicate wires header", lineno)
+                    raise MapFormatError("duplicate wires header", lineno)
                 wires = _int_token(parts[1], "wires", lineno)
                 if wires < 0:
-                    raise MapStyleError("wire count must be non-negative",
-                                        lineno)
+                    raise MapFormatError("wire count must be non-negative",
+                                         lineno)
             elif wires is None:
-                raise MapStyleError("stage before wires header", lineno)
+                raise MapFormatError("stage before wires header", lineno)
             else:
                 stages.append(_parse_stage(parts, wires, alphabet, lineno,
                                            perms))
         except ShapeError as exc:
-            raise MapStyleError(str(exc), lineno) from None
+            raise MapFormatError(str(exc), lineno) from None
     if wires is None:
-        raise MapStyleError("missing wires header")
+        raise MapFormatError("missing wires header")
     return Netlist(wires, tuple(stages)), alphabet

@@ -18,14 +18,12 @@ import sys
 from pathlib import Path
 
 from . import synth
-from .circuit import (CircuitParseError, MapStyleError, _parse_perm_token,
-                      evaluate_program, format_netlist, parse_program,
-                      perm_token, print_term)
+from .circuit import (_parse_perm_token, evaluate_program, format_netlist,
+                      parse_program, perm_token, print_term)
 from .closure import check_temp_storage, slice_group
-from .core import (Alphabet, Map, MapFormatError, NotBijectiveError, Perm,
-                   ShapeError, format_map, is_balanced, is_bijective,
-                   parse_map)
-from .gates import standard_generators, tg
+from .core import (Alphabet, Map, NotBijectiveError, Perm, ShapeError,
+                   format_map, is_balanced, is_bijective, parse_map)
+from .gates import cycle_perm, standard_generators, swap_perm, tg
 from .group import WitnessOverflow, from_map
 from .identities import run_identity_suite
 
@@ -49,19 +47,6 @@ def _check_degree(k: int, n: int) -> int:
     return degree
 
 
-def _swap_perm(k: int) -> Perm:
-    return Perm.from_cycles([(1, 2)], degree=k)
-
-
-def _cycle_perm(k: int) -> Perm:
-    return Perm.from_cycles([tuple(range(1, k + 1))], degree=k)
-
-
-def _all_letter_perms(k: int) -> list[Perm]:
-    return [Perm(images) for images in
-            itertools.permutations(range(1, k + 1))]
-
-
 def builtin_generators(name: str, alphabet: Alphabet) -> list[tuple[str, Map]]:
     """Expand a built-in generator-set name.
 
@@ -75,7 +60,7 @@ def builtin_generators(name: str, alphabet: Alphabet) -> list[tuple[str, Map]]:
     m = re.fullmatch(r"tg(\d+)-(swap|cycle)", name)
     if m:
         arity = int(m.group(1))
-        perm = _swap_perm(k) if m.group(2) == "swap" else _cycle_perm(k)
+        perm = swap_perm(k) if m.group(2) == "swap" else cycle_perm(k)
         return [(name, tg(arity, perm, 1))]
     m = re.fullmatch(r"tg-family-lt(\d+)(-allo)?", name)
     if m:
@@ -83,7 +68,8 @@ def builtin_generators(name: str, alphabet: Alphabet) -> list[tuple[str, Map]]:
         all_o = bool(m.group(2))
         out = []
         for i in range(1, bound):
-            for alpha in _all_letter_perms(k):
+            for images in itertools.permutations(alphabet.letters()):
+                alpha = Perm(images)
                 if alpha.is_identity():
                     continue
                 letters = alphabet.letters() if all_o else (1,)
@@ -113,12 +99,6 @@ def _resolve_generators(names: list[str], alphabet: Alphabet
         else:
             out.extend(builtin_generators(name, alphabet))
     return out
-
-
-def _load_map(path: str) -> Map:
-    if path == "-":
-        return parse_map(sys.stdin.read())
-    return parse_map(Path(path).read_text())
 
 
 def _read_text(path: str) -> str:
@@ -151,15 +131,13 @@ def _cmd_eval(args) -> int:
             bindings[path.stem] = parse_map(path.read_text())
     alphabet = Alphabet(args.alphabet) if args.alphabet else None
     result = evaluate_program(prog, bindings, alphabet)
-    if args.json:
-        print(json.dumps({"map": _map_report(result)}, sort_keys=True))
-    else:
-        sys.stdout.write(format_map(result))
+    _emit(args, {"map": _map_report(result)},
+          [format_map(result).rstrip("\n")])
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    f = _load_map(args.map)
+    f = parse_map(_read_text(args.map))
     balanced = is_balanced(f)
     bijective = is_bijective(f)
     report = {"arity": f.arity, "coarity": f.coarity,
@@ -188,7 +166,7 @@ def _cmd_closure_order(args) -> int:
 
 def _cmd_member(args) -> int:
     alphabet = Alphabet(args.alphabet)
-    target = _load_map(args.target)
+    target = parse_map(_read_text(args.target))
     if target.alphabet != alphabet:
         raise ShapeError("target alphabet mismatch", expected=alphabet.size,
                          actual=target.alphabet.size)
@@ -215,48 +193,39 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    g = _load_map(args.map)
+    g = parse_map(_read_text(args.map))
     emb = synth.embed(g)
     report = {"r": emb.r, "o": emb.o, "theta1": list(emb.theta1),
               "theta2": list(emb.theta2), "map": _map_report(emb.map)}
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        sys.stdout.write(f"# embedding: r {emb.r} o {emb.o} "
+    _emit(args, report, [f"# embedding: r {emb.r} o {emb.o} "
                          f"theta1 {' '.join(map(str, emb.theta1))} "
-                         f"theta2 {' '.join(map(str, emb.theta2))}\n")
-        sys.stdout.write(format_map(emb.map))
+                         f"theta2 {' '.join(map(str, emb.theta2))}",
+                         format_map(emb.map).rstrip("\n")])
     return EXIT_OK
 
 
 def _cmd_synth(args) -> int:
-    f = _load_map(args.map)
+    f = parse_map(_read_text(args.map))
     netlist = synth.synthesize(f, gate_policy=args.policy, o=args.o)
-    if args.json:
-        print(json.dumps({"wires": netlist.wires,
-                          "stages": len(netlist.stages),
-                          "netlist": format_netlist(netlist, f.alphabet)},
-                         sort_keys=True))
-    else:
-        sys.stdout.write(format_netlist(netlist, f.alphabet))
+    text = format_netlist(netlist, f.alphabet)
+    _emit(args, {"wires": netlist.wires, "stages": len(netlist.stages),
+                 "netlist": text}, [text.rstrip("\n")])
     return EXIT_OK
 
 
 def _cmd_lift_odd(args) -> int:
     alphabet = Alphabet(args.alphabet)
-    perm = _swap_perm(alphabet.size) if args.swap else _cycle_perm(alphabet.size)
+    perm = swap_perm(alphabet.size) if args.swap else cycle_perm(alphabet.size)
     term = synth.lift_odd(args.n, perm)
     text = f"(alphabet {alphabet.size})\n{print_term(term)}\n"
-    if args.json:
-        print(json.dumps({"circ": text}, sort_keys=True))
-    else:
-        sys.stdout.write(text)
+    _emit(args, {"circ": text}, [text.rstrip("\n")])
     return EXIT_OK
 
 
 def _cmd_lift_ts(args) -> int:
     alphabet = Alphabet(args.alphabet)
     perm = _parse_perm_token(args.perm, alphabet.size)
+    _check_degree(alphabet.size, 2 * args.n - 3)
     lift = synth.lift_temp_storage(args.n, perm, args.o, args.p)
     verdict = check_temp_storage(lift.realiser, lift.constants, lift.reduct)
     netlist_text = format_netlist(lift.netlist, alphabet)
@@ -294,8 +263,8 @@ def _cmd_scan_conjectures(args) -> int:
     lines = []
     report: dict = {"degree": degree}
 
-    cycle_gens = [("cycle", tg(1, _cycle_perm(k), 1)),
-                  (f"tg{n}-cycle", tg(n, _cycle_perm(k), 1))]
+    cycle_gens = [("cycle", tg(1, cycle_perm(k), 1)),
+                  (f"tg{n}-cycle", tg(n, cycle_perm(k), 1))]
     order1 = slice_group(cycle_gens, n, alphabet).order()
     full_match = order1 == full
     lines.append(f"cycle-only generators at arity {n}: order {order1} "
@@ -407,8 +376,7 @@ def main(argv=None) -> int:
     except (DegreeOverflow, WitnessOverflow) as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except (MapFormatError, CircuitParseError, MapStyleError, ShapeError,
-            NotBijectiveError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

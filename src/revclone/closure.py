@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, permutations
 from typing import Iterable, Mapping, Sequence
 
 from . import ops
-from .core import Alphabet, Map, NotBijectiveError, Perm, ShapeError, \
-    encode, identity_map, is_bijective
+from .core import Alphabet, Map, NotBijectiveError, ShapeError, encode, \
+    identity_map, is_bijective
+from .gates import cycle_perm, swap_perm
 from .group import TupleGroup, from_map
 
 
@@ -171,11 +172,9 @@ def slice_group(generators, n: int, alphabet: Alphabet | None = None
         else:
             padded.append((name, m))
     if n >= 2:
-        swap = Perm.from_cycles([(1, 2)], degree=n)
-        padded.append(("pi(1,2)", ops.pi(alphabet, swap)))
+        padded.append(("pi(1,2)", ops.pi(alphabet, swap_perm(n))))
         if n >= 3:
-            cycle = Perm.from_cycles([tuple(range(1, n + 1))], degree=n)
-            padded.append((f"pi(1..{n})", ops.pi(alphabet, cycle)))
+            padded.append((f"pi(1..{n})", ops.pi(alphabet, cycle_perm(n))))
     named_perms = [(name, from_map(m)) for name, m in padded]
     return TupleGroup.build(named_perms, degree=alphabet.count(n))
 
@@ -404,9 +403,12 @@ def op_K(maps: Iterable[Map]) -> tuple[Map, ...]:
 
 def op_S(maps: Iterable[Map]) -> tuple[Map, ...]:
     """Closure under component selection, including the full selection:
-    every repetition-free ordered choice of output components."""
+    every repetition-free ordered choice of output components, shortest
+    first, and the empty choice only when there are no components."""
     return tuple(dict.fromkeys(
-        ops.select(theta, f) for f in maps for theta in _selections(f.coarity)))
+        ops.select(theta, f) for f in maps
+        for length in range(min(f.coarity, 1), f.coarity + 1)
+        for theta in permutations(range(1, f.coarity + 1), length)))
 
 
 def op_R(maps: Iterable[Map]) -> tuple[Map, ...]:
@@ -419,22 +421,6 @@ def _increasing_subsets(n: int) -> list[tuple[int, ...]]:
     for p in range(1, n + 1):
         subsets.extend(s + (p,) for s in list(subsets))
     return subsets
-
-
-def _selections(m: int) -> list[tuple[int, ...]]:
-    """All repetition-free tuples over 1..m of length >= 1, plus the empty
-    selection only when m == 0."""
-    out: list[tuple[int, ...]] = []
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(m):
-        nxt = []
-        for partial in frontier:
-            for i in range(1, m + 1):
-                if i not in partial:
-                    nxt.append(partial + (i,))
-        out.extend(nxt)
-        frontier = nxt
-    return out if m else [()]
 
 
 @dataclass(frozen=True)
@@ -508,15 +494,12 @@ def check_realisation(g: Map, generators, caps: SearchCaps,
                     return f, constants
         return None
 
-    hit = scan(want_coarity=n, want_arity=None)
-    if hit:
-        return RealisationResult("no-garbage", hit[0], hit[1], theta, bounded)
-    hit = scan(want_coarity=None, want_arity=m)
-    if hit:
-        return RealisationResult("no-constants", hit[0], hit[1], theta, bounded)
-    hit = scan(want_coarity=None, want_arity=None)
-    if hit:
-        return RealisationResult("general", hit[0], hit[1], theta, bounded)
+    for verdict, want_coarity, want_arity in (("no-garbage", n, None),
+                                              ("no-constants", None, m),
+                                              ("general", None, None)):
+        hit = scan(want_coarity, want_arity)
+        if hit:
+            return RealisationResult(verdict, hit[0], hit[1], theta, bounded)
     return RealisationResult("not-found", capped=bounded)
 
 

@@ -34,7 +34,8 @@ class NotBijectiveError(ValueError):
 
 
 class MapFormatError(ValueError):
-    """Malformed .map text; carries the offending 1-based line number."""
+    """Malformed .map or netlist text; carries the offending 1-based line
+    number."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -60,12 +61,6 @@ class Alphabet:
     def tuples(self, n: int) -> Iterator[tuple[int, ...]]:
         """All letter tuples of length n, in encoding (lexicographic) order."""
         return itertools.product(self.letters(), repeat=n)
-
-    def tuple_list(self, n: int) -> tuple[tuple[int, ...], ...]:
-        """Materialization of :meth:`tuples`, cached while k^n <= 4096:
-        entry i is the tuple whose encoding is i, so ``Map.table`` decodes
-        rows by indexing it."""
-        return _tuple_list(self.size, n)
 
     def count(self, n: int) -> int:
         return self.size ** n
@@ -184,22 +179,6 @@ class Perm:
         return -1 if flips % 2 else 1
 
 
-# The largest table, in entries, that the module-level memos keep.
-_MEMO_LIMIT = 4096
-
-_TUPLE_LIST_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-
-def _tuple_list(k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    key = (k, n)
-    cached = _TUPLE_LIST_CACHE.get(key)
-    if cached is None:
-        cached = tuple(itertools.product(range(1, k + 1), repeat=n))
-        if k ** n <= _MEMO_LIMIT:
-            _TUPLE_LIST_CACHE[key] = cached
-    return cached
-
-
 def encode(t: tuple[int, ...], alphabet: Alphabet, n: int) -> int:
     """Big-endian mixed-radix index of a letter tuple: t[0] is most
     significant.  Inverse of :func:`decode`."""
@@ -278,7 +257,7 @@ class Map:
         k, m = self.alphabet.size, self.coarity
         if k ** m > len(self.codes):  # listing all k^m tuples costs more
             return tuple([decode(c, self.alphabet, m) for c in self.codes])
-        rows = _tuple_list(k, m)
+        rows = tuple(self.alphabet.tuples(m))
         return tuple([rows[c] for c in self.codes])
 
     def __call__(self, x: tuple[int, ...]) -> tuple[int, ...]:

@@ -83,6 +83,16 @@ def fanout(alphabet: Alphabet, n: int) -> Map:
         encode((a,) * n, alphabet, n) for a in alphabet.letters()))
 
 
+def swap_perm(k: int) -> Perm:
+    """The transposition (1 2) of k points."""
+    return Perm.from_cycles([(1, 2)], degree=k)
+
+
+def cycle_perm(k: int) -> Perm:
+    """The cycle (1 2 ... k) of k points."""
+    return Perm.from_cycles([tuple(range(1, k + 1))], degree=k)
+
+
 def standard_generators(k: int, n: int) -> list[tuple[str, Map]]:
     """The four generators: the unary swap and cycle of the letters, and
     the two arity-n gates they induce with control letter 1.
@@ -92,8 +102,7 @@ def standard_generators(k: int, n: int) -> list[tuple[str, Map]]:
     """
     if k < 2:
         raise ShapeError("need at least two letters", expected=">= 2", actual=k)
-    swap = Perm.from_cycles([(1, 2)], degree=k)
-    cycle = Perm.from_cycles([tuple(range(1, k + 1))], degree=k)
+    swap, cycle = swap_perm(k), cycle_perm(k)
     return [
         ("swap", tg(1, swap, 1)),
         ("cycle", tg(1, cycle, 1)),

@@ -22,9 +22,10 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .core import _MEMO_LIMIT, Alphabet, Map, Perm, ShapeError, \
-    identity_map
+from .core import Alphabet, Map, Perm, ShapeError, identity_map
 
+# The largest index list, in entries, that _linear_indices memoises.
+_MEMO_LIMIT = 4096
 _INDEX_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 
 

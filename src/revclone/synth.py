@@ -21,7 +21,7 @@ from . import gates, ops
 from .core import Alphabet, Map, NotBijectiveError, Perm, ShapeError, \
     _transpositions, decode, encode, is_bijective
 from .circuit import Bullet, IdLit, Netlist, Oplus, PiLit, Stage, Term, \
-    TgLit, letter_spec, netlist_to_term, pi_spec, simulate
+    TgLit, _fold_applied, letter_spec, pi_spec, simulate
 from .group import from_map
 
 
@@ -165,7 +165,7 @@ def atomic_to_gates(a: Map, o: int) -> Netlist:
 
 # -- factoring letter permutations over the swap and the cycle ----------------
 
-_FACTOR_CACHE: dict[int, dict[tuple[int, ...], tuple[Perm, ...]]] = {}
+_FACTOR_CACHE: dict[int, dict[tuple[int, ...], Perm | None]] = {}
 _FACTOR_LIMIT = 9
 
 
@@ -182,24 +182,30 @@ def factor_over_standard(alpha: Perm) -> tuple[Perm, ...]:
                          expected=f"alphabet size <= {_FACTOR_LIMIT}", actual=k)
     table = _FACTOR_CACHE.get(k)
     if table is None:
-        swap = Perm.from_cycles([(1, 2)], degree=k)
-        cycle = Perm.from_cycles([tuple(range(1, k + 1))], degree=k)
-        gens = (swap, cycle)
-        ident = Perm.identity(k)
-        table = {ident.images: ()}
-        frontier = [ident]
+        # Breadth-first on raw images; each permutation keeps only the last
+        # letter of its word (None: the identity), to rebuild words backwards.
+        gens = (gates.swap_perm(k), gates.cycle_perm(k))
+        identity = Perm.identity(k).images
+        table = {identity: None}
+        frontier = [identity]
         while frontier:
             nxt = []
             for p in frontier:
-                word = table[p.images]
                 for gen in gens:
-                    child = p * gen
-                    if child.images not in table:
-                        table[child.images] = word + (gen,)
+                    images = gen.images
+                    child = tuple([images[i - 1] for i in p])
+                    if child not in table:
+                        table[child] = gen
                         nxt.append(child)
             frontier = nxt
         _FACTOR_CACHE[k] = table
-    return table[alpha.images]
+    word = []
+    images = alpha.images
+    while (gen := table[images]) is not None:
+        word.append(gen)
+        # The word's prefix p has images[q] == gen(p[q]) for every q.
+        images = tuple([gen.images.index(c) + 1 for c in images])
+    return tuple(reversed(word))
 
 
 # -- odd-alphabet lift ---------------------------------------------------------
@@ -218,15 +224,6 @@ def lift_odd(n_target: int, alpha: Perm) -> Term:
     if n_target < 1:
         raise ShapeError("gate width must be positive", actual=n_target)
     return _lift_tg(n_target, alpha)
-
-
-def _fold_applied(factors: list[Term]) -> Term:
-    """Bullet-chain of factors given in application order (first applied
-    first)."""
-    term = factors[0]
-    for nxt in factors[1:]:
-        term = Bullet(nxt, term)
-    return term
 
 
 def _pad_after(gate: Term, pad: int) -> Term:
@@ -254,8 +251,7 @@ def _lift_generator(n: int, gamma: Perm) -> Term:
     width n-1 gates (recursively lifted) and two-wire gates."""
     k = gamma.degree
     nn = n - 1
-    swap = Perm.from_cycles([(1, 2)], degree=k)
-    cycle = Perm.from_cycles([tuple(range(1, k + 1))], degree=k)
+    swap, cycle = gates.swap_perm(k), gates.cycle_perm(k)
     wire_swap = PiLit(pi_spec(Perm.from_cycles([(nn, nn + 1)], degree=nn + 1)))
     tg2 = lambda perm: TgLit(2, letter_spec(perm), 1)
     if gamma == swap:
@@ -402,8 +398,7 @@ def _lift_stages(wires: tuple[int, ...], alpha: Perm) -> list[Stage]:
     if k < 3 or k % 2 == 0:
         raise ShapeError("the lift needs an odd alphabet of size >= 3",
                          actual=k)
-    swap = Perm.from_cycles([(1, 2)], degree=k)
-    cycle = Perm.from_cycles([tuple(range(1, k + 1))], degree=k)
+    swap, cycle = gates.swap_perm(k), gates.cycle_perm(k)
     out: list[Stage] = []
 
     def gate(controls: tuple[int, ...], target: int, perm: Perm) -> None:
@@ -450,9 +445,9 @@ def _lift_stages(wires: tuple[int, ...], alpha: Perm) -> list[Stage]:
 class TempStorageLift:
     """A wide controlled gate realized with strong temporary storage by
     three-wire gates: ``reduct`` (the target gate) is the reduct of
-    ``realiser`` under ``constants`` on the trailing ancilla wires."""
+    ``realiser``, the map that ``netlist`` simulates to, under
+    ``constants`` on the trailing ancilla wires."""
 
-    term: Term
     constants: tuple[int, ...]
     reduct: Map
     netlist: Netlist
@@ -508,8 +503,7 @@ def lift_temp_storage(n_target: int, alpha: Perm, o: int,
     constants = (p,) * levels
     positions = tuple(range(n_target + 1, width + 1))
     reduct = ops.reduct(realiser, positions, tuple(range(1, n_target + 1)), p)
-    return TempStorageLift(netlist_to_term(netlist), constants, reduct,
-                           netlist, realiser)
+    return TempStorageLift(constants, reduct, netlist, realiser)
 
 
 # -- end-to-end synthesis --------------------------------------------------------

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from revclone.circuit import (Bullet, CircuitParseError, Comp, Delta, IdLit,
-                              Ins, MapStyleError, Nabla, Netlist, Oplus,
+                              Ins, Nabla, Netlist, Oplus,
                               PiLit, Ref, Sel, Stage, Tau, TgLit,
                               Zeta, evaluate_program, evaluate_term,
                               format_netlist, netlist_to_term, parse,
                               parse_netlist, parse_program, print_term,
                               shape_of, simulate)
-from revclone.core import (Alphabet, Perm, ShapeError, evaluate,
-                           identity_map, is_bijective)
+from revclone.core import (Alphabet, MapFormatError, Perm, ShapeError,
+                           evaluate, identity_map, is_bijective)
 from revclone.gates import tg
 from revclone.ops import bullet, oplus
 
@@ -59,6 +59,35 @@ def test_parse_errors_carry_positions():
         parse("(tg 2 1)")
     with pytest.raises(CircuitParseError):
         parse("(id 1) (id 2)")
+    # Columns count characters from the line start, so a CR, a tab or a
+    # vertical tab is one column; only LF starts a line.  A comment runs
+    # from '#' to the end of the line, even inside an atom or a list.
+    for reader, text, line, col, message in [
+            (parse_program, "(alphabet 2)\r\n(let F (id 1))\r\n  (bogus F)\r\n",
+             3, 3, "unknown operator 'bogus'"),
+            (parse, "(oplus\t(id 1)\t\t(id x))",
+             1, 20, "expected a width (an integer), got 'x'"),
+            (parse, "\t(comp\t1 (id 1)\r\n\t (id 1) (id 1))",
+             1, 2, "comp takes k and two terms"),
+            (parse, "(id\x0b\x0bq)",
+             1, 6, "expected a width (an integer), got 'q'"),
+            (parse, "(id x#y)\n)",
+             1, 5, "expected a width (an integer), got 'x'"),
+            (parse, "(oplus (id 1)#c)\n (idx 2))",
+             2, 2, "unknown operator 'idx'"),
+            (parse, "(id 2#3)", 1, 1, "unclosed '('"),
+            (parse, "(oplus (id 1)\n  (tau (id 2)", 2, 3, "unclosed '('"),
+            (parse, "(id 1))", 1, 7, "unmatched ')'"),
+            (parse, ")", 1, 1, "unmatched ')'"),
+            (parse, "", 1, 1, "expected exactly one term"),
+            (parse_program, "", 1, 1, "no result term"),
+            (parse_program, "# only a comment\r\n", 1, 1, "no result term")]:
+        with pytest.raises(CircuitParseError) as err:
+            reader(text)
+        assert (err.value.line, err.value.col) == (line, col), text
+        assert str(err.value) == f"{line}:{col}: {message}"
+    glued = "(oplus (id 1)#(id 2)\n (id 2)#x)\n)"
+    assert parse(glued) == Oplus(IdLit(1), IdLit(2))
 
 
 def test_shape_errors_name_the_node():
@@ -207,13 +236,13 @@ def test_netlist_text_roundtrip():
 
 
 def test_netlist_text_errors():
-    with pytest.raises(MapStyleError):
+    with pytest.raises(MapFormatError):
         parse_netlist("tg 2 (1,2) 1 @ 1 2\n")
-    with pytest.raises(MapStyleError):
+    with pytest.raises(MapFormatError):
         parse_netlist("wires 2\ntg 2 (1,2) 1 @ 1 2\n")  # no alphabet
-    with pytest.raises(MapStyleError):
+    with pytest.raises(MapFormatError):
         parse_netlist("alphabet 2\nwires 2\ntg 1 (1,2) 1 @ 1 2\n")
-    with pytest.raises(MapStyleError, match=r"line 3: .*like \(1,2\)"):
+    with pytest.raises(MapFormatError, match=r"line 3: .*like \(1,2\)"):
         parse_netlist("alphabet 2\nwires 2\nu 1,2 @ 1\n")
     header = "alphabet 2\nwires 2\n"
     for text, line in [
@@ -231,8 +260,9 @@ def test_netlist_text_errors():
             (header + "u (1,2) @ 3\n", 3),
             (header + "u (1,2) @ 1 2\n", 3),
             (header + "pi (1,2) @ 1 1\n", 3)]:
-        with pytest.raises(MapStyleError, match=rf"^line {line}: "):
+        with pytest.raises(MapFormatError, match=rf"^line {line}: ") as err:
             parse_netlist(text)
+        assert err.value.line == line
     with pytest.raises(ShapeError):
         Netlist(2, (Stage("u", Perm.from_cycles([(1, 2)]), None, (3,)),))
 
@@ -265,9 +295,9 @@ def test_parse_netlist_reads_each_token_at_its_degree():
     # "(1,3)" parses for the letters but not for a two-wire swap, and each
     # bad occurrence is reported on its own line.
     text = "alphabet 3\nwires 2\nu (1,3) @ 1\npi (1,3) @ 1 2\n"
-    with pytest.raises(MapStyleError, match=r"^line 4: "):
+    with pytest.raises(MapFormatError, match=r"^line 4: "):
         parse_netlist(text)
-    with pytest.raises(MapStyleError, match=r"^line 4: "):
+    with pytest.raises(MapFormatError, match=r"^line 4: "):
         parse_netlist(text + "pi (1,3) @ 1 2\n")
 
 

@@ -184,6 +184,15 @@ def test_scan_degree_guard(capsys):
     assert "exceeds" in err
 
 
+def test_lift_ts_degree_guard(capsys):
+    # The lift simulates its 2n - 3 = 19 wires: 3^19 tuples.
+    code, out, err = run(capsys, "lift-ts", "--alphabet", "3", "--n", "11",
+                         "--perm", "(1,2)", "--o", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("overflow: degree 1162261467 = 3^19 exceeds")
+
+
 def test_usage_and_data_errors(tmp_path, capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2

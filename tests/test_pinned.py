@@ -17,7 +17,8 @@ import pytest
 from revclone.circuit import format_netlist
 from revclone.cli import main
 from revclone.closure import (SearchCaps, check_realisation,
-                              check_temp_storage, function_set, saturate)
+                              check_temp_storage, function_set, op_S,
+                              saturate)
 from revclone.core import Alphabet, Map, Perm, format_map, identity_map
 from revclone.gates import fanout, standard_generators, tg
 from revclone.identities import random_map
@@ -123,6 +124,15 @@ def test_function_set_is_pinned():
         record.append([_map_record(m) for m in function_set(gens, caps)])
     assert _digest(record) == (
         "50ff39193785b789ba6e6d781fa3af0abf739e0501769858ef89aed938cbd431")
+
+
+def test_selection_closure_order_is_pinned():
+    # One map of each co-arity 0-4: op_S lists the selections of each map
+    # shortest first, in lexicographic order within a length.
+    rng = random.Random(12)
+    maps = [random_table_map(rng, A3 if m < 2 else A2, 2, m) for m in range(5)]
+    assert _digest([_map_record(f) for f in op_S(maps)]) == (
+        "bdc7a56723eb5a8ef6aaf44a08bb593f565b22d006e905eef42c94e559606c92")
 
 
 def _realisation_record(result):

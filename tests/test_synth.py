@@ -4,7 +4,7 @@ import random
 import pytest
 
 from revclone.circuit import (Bullet, Netlist, Oplus, TgLit, evaluate_term,
-                              shape_of, simulate)
+                              netlist_to_term, shape_of, simulate)
 from revclone.closure import check_temp_storage
 from revclone.core import (Alphabet, Map, NotBijectiveError, Perm,
                            ShapeError, evaluate, identity_map, is_bijective)
@@ -323,7 +323,8 @@ def test_lift_temp_storage_binary_four_wires():
     assert lift.constants == (2,)
     assert check_temp_storage(lift.realiser, lift.constants,
                               lift.reduct) == "strong"
-    assert evaluate_term(lift.term, alphabet=A2) == lift.realiser
+    assert (evaluate_term(netlist_to_term(lift.netlist), alphabet=A2)
+            == lift.realiser)
 
 
 def test_lift_temp_storage_keeps_non_target_wires():

@@ -669,13 +669,6 @@ def netlist_to_term(nl: Netlist) -> Term:
     return _fold_applied([stage_term(stage, nl.wires) for stage in nl.stages])
 
 
-def perm_token(perm: Perm) -> str:
-    cycles = perm.cycles()
-    if not cycles:
-        return "()"
-    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
-
-
 def _parse_perm_token(token: str, degree: int, line: int | None = None
                       ) -> Perm:
     if token == "()":
@@ -699,10 +692,10 @@ def format_netlist(nl: Netlist, alphabet: Alphabet | None = None) -> str:
     for stage in nl.stages:
         wires = " ".join(map(str, stage.wires))
         if stage.kind == "tg":
-            lines.append(f"tg {len(stage.wires)} {perm_token(stage.perm)} "
+            lines.append(f"tg {len(stage.wires)} {stage.perm.token()} "
                          f"{stage.o} @ {wires}")
         else:
-            lines.append(f"{stage.kind} {perm_token(stage.perm)} @ {wires}")
+            lines.append(f"{stage.kind} {stage.perm.token()} @ {wires}")
     return "\n".join(lines) + "\n"
 
 

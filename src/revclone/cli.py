@@ -17,15 +17,14 @@ import re
 import sys
 from pathlib import Path
 
-from . import synth
-from .circuit import (_parse_perm_token, evaluate_program, format_netlist,
-                      parse_program, perm_token, print_term)
+# The circuit and synthesis layers are reached through their module
+# objects, so that the closure subcommands never run them.
+from . import circuit, identities, synth
 from .closure import check_temp_storage, slice_group
 from .core import (Alphabet, Map, NotBijectiveError, Perm, ShapeError,
                    format_map, is_balanced, is_bijective, parse_map)
 from .gates import cycle_perm, standard_generators, swap_perm, tg
 from .group import WitnessOverflow, from_map
-from .identities import run_identity_suite
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -74,7 +73,7 @@ def builtin_generators(name: str, alphabet: Alphabet) -> list[tuple[str, Map]]:
                     continue
                 letters = alphabet.letters() if all_o else (1,)
                 for o in letters:
-                    label = f"tg{i}-{perm_token(alpha)}"
+                    label = f"tg{i}-{alpha.token()}"
                     if all_o:
                         label += f"-o{o}"
                     out.append((label, tg(i, alpha, o)))
@@ -124,13 +123,13 @@ def _map_report(f: Map) -> dict:
 
 def _cmd_eval(args) -> int:
     text = _read_text(args.circ)
-    prog = parse_program(text)
+    prog = circuit.parse_program(text)
     bindings: dict[str, Map] = {}
     if args.maps:
         for path in sorted(Path(args.maps).glob("*.map")):
             bindings[path.stem] = parse_map(path.read_text())
     alphabet = Alphabet(args.alphabet) if args.alphabet else None
-    result = evaluate_program(prog, bindings, alphabet)
+    result = circuit.evaluate_program(prog, bindings, alphabet)
     _emit(args, {"map": _map_report(result)},
           [format_map(result).rstrip("\n")])
     return EXIT_OK
@@ -207,7 +206,7 @@ def _cmd_embed(args) -> int:
 def _cmd_synth(args) -> int:
     f = parse_map(_read_text(args.map))
     netlist = synth.synthesize(f, gate_policy=args.policy, o=args.o)
-    text = format_netlist(netlist, f.alphabet)
+    text = circuit.format_netlist(netlist, f.alphabet)
     _emit(args, {"wires": netlist.wires, "stages": len(netlist.stages),
                  "netlist": text}, [text.rstrip("\n")])
     return EXIT_OK
@@ -217,18 +216,18 @@ def _cmd_lift_odd(args) -> int:
     alphabet = Alphabet(args.alphabet)
     perm = swap_perm(alphabet.size) if args.swap else cycle_perm(alphabet.size)
     term = synth.lift_odd(args.n, perm)
-    text = f"(alphabet {alphabet.size})\n{print_term(term)}\n"
+    text = f"(alphabet {alphabet.size})\n{circuit.print_term(term)}\n"
     _emit(args, {"circ": text}, [text.rstrip("\n")])
     return EXIT_OK
 
 
 def _cmd_lift_ts(args) -> int:
     alphabet = Alphabet(args.alphabet)
-    perm = _parse_perm_token(args.perm, alphabet.size)
+    perm = circuit._parse_perm_token(args.perm, alphabet.size)
     _check_degree(alphabet.size, 2 * args.n - 3)
     lift = synth.lift_temp_storage(args.n, perm, args.o, args.p)
     verdict = check_temp_storage(lift.realiser, lift.constants, lift.reduct)
-    netlist_text = format_netlist(lift.netlist, alphabet)
+    netlist_text = circuit.format_netlist(lift.netlist, alphabet)
     report = {"wires": lift.netlist.wires,
               "ancillas": len(lift.constants),
               "constants": list(lift.constants),
@@ -243,7 +242,8 @@ def _cmd_lift_ts(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    reports = run_identity_suite(args.alphabet, args.trials, args.seed)
+    reports = identities.run_identity_suite(args.alphabet, args.trials,
+                                            args.seed)
     total_failures = sum(r.failures for r in reports)
     lines = [f"{r.name}: trials={r.trials} failures={r.failures}"
              for r in reports]

@@ -174,6 +174,14 @@ class Perm:
             out.append(tuple(cycle))
         return tuple(out)
 
+    def token(self) -> str:
+        """The cycles as netlists and CLI labels write them: "(1,2)(3,4)",
+        or "()" for the identity."""
+        cycles = self.cycles()
+        if not cycles:
+            return "()"
+        return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
+
     def sign(self) -> int:
         flips = sum(len(c) - 1 for c in self.cycles())
         return -1 if flips % 2 else 1

@@ -3,9 +3,9 @@ composition algebra on maps A^n -> A^m, generalized controlled gates,
 closure and permutation-group computations, and gate-level synthesis.
 
 Each submodule runs on its first use, not at ``import revclone``: a
-closure call never runs the circuit and synthesis layers.  A submodule
-binds its public names here when it runs, just as the ``from .x import
-...`` statements of an eager package would."""
+closure call never runs the circuit and synthesis layers.  The package
+keeps no copy of a public name: ``__getattr__`` reads it from its
+submodule on every access."""
 
 import importlib.util
 import sys
@@ -43,27 +43,11 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_EXPORTS, *_OWNER]
 
 
-class _Binder:
-    """Runs a submodule with its own loader, then binds its public names
-    in the package."""
-
-    def __init__(self, loader):
-        self.loader = loader
-
-    def create_module(self, spec):
-        return None
-
-    def exec_module(self, module):
-        self.loader.exec_module(module)
-        names = _EXPORTS[module.__name__.rpartition(".")[2]]
-        globals().update((name, getattr(module, name)) for name in names)
-
-
 # Registered in sys.modules but not yet run: the first attribute access
 # runs the module.
 for _name in _EXPORTS:
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
-    _spec.loader = importlib.util.LazyLoader(_Binder(_spec.loader))
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)
     sys.modules[_spec.name] = globals()[_name] = _module
     _spec.loader.exec_module(_module)
@@ -71,8 +55,7 @@ del _name, _spec, _module
 
 
 def __getattr__(name):
-    """A public name whose submodule has not run yet: running it binds
-    the name here, so later lookups skip this function."""
+    """A public name, read from its submodule (which runs on first use)."""
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(globals()[_OWNER[name]], name)

@@ -493,9 +493,7 @@ def _eval(t: Term, bindings, alphabet: Alphabet | None) -> Map:
         k = _need_alphabet(alphabet).size
         return gates.tg(t.n, Perm.from_cycles(t.perm, degree=k), t.o)
     if isinstance(t, PiLit):
-        d = spec_degree(t.perm)
-        return ops.pi(_need_alphabet(alphabet),
-                      Perm.from_cycles(t.perm, degree=d))
+        return ops.pi(_need_alphabet(alphabet), Perm.from_cycles(t.perm))
     if isinstance(t, Oplus):
         return ops.oplus(_eval(t.left, bindings, alphabet),
                          _eval(t.right, bindings, alphabet))
@@ -575,10 +573,14 @@ class Netlist:
             raise ShapeError("wire count must be non-negative",
                              actual=self.wires)
         for stage in self.stages:
-            for w in stage.wires:
-                if not 1 <= w <= self.wires:
-                    raise ShapeError("stage wire out of range",
-                                     expected=f"1..{self.wires}", actual=w)
+            _check_wires(stage.wires, self.wires)
+
+
+def _check_wires(stage_wires: Sequence[int], wires: int) -> None:
+    for w in stage_wires:
+        if not 1 <= w <= wires:
+            raise ShapeError("stage wire out of range",
+                             expected=f"1..{wires}", actual=w)
 
 
 def _apply_stage(stage: Stage, sources, state: list[int]) -> None:
@@ -669,21 +671,6 @@ def netlist_to_term(nl: Netlist) -> Term:
     return _fold_applied([stage_term(stage, nl.wires) for stage in nl.stages])
 
 
-def _parse_perm_token(token: str, degree: int, line: int | None = None
-                      ) -> Perm:
-    if token == "()":
-        return Perm.identity(degree)
-    if not re.fullmatch(r"(\(\d+(,\d+)*\))+", token):
-        raise MapFormatError(f"bad permutation token {token!r}; "
-                             "write cycles like (1,2)(3,4)", line)
-    cycles = [tuple(int(x) for x in group.split(","))
-              for group in re.findall(r"\(([\d,]+)\)", token)]
-    try:
-        return Perm.from_cycles(cycles, degree=degree)
-    except ShapeError as exc:
-        raise MapFormatError(str(exc), line) from None
-
-
 def format_netlist(nl: Netlist, alphabet: Alphabet | None = None) -> str:
     lines = []
     if alphabet is not None:
@@ -711,13 +698,13 @@ _STAGE_FORMS = {"tg": "tg <n> <perm> <o>", "pi": "pi <perm>", "u": "u <perm>"}
 
 
 def _parse_perm_once(perms: dict[tuple[str, int], Perm], token: str,
-                     degree: int, line: int) -> Perm:
-    """_parse_perm_token through perms, which keeps every token that parsed
+                     degree: int) -> Perm:
+    """Perm.from_token through perms, which keeps every token that parsed
     (so a bad token is reported on each line that has it)."""
     key = (token, degree)
     perm = perms.get(key)
     if perm is None:
-        perm = perms[key] = _parse_perm_token(token, degree, line)
+        perm = perms[key] = Perm.from_token(token, degree)
     return perm
 
 
@@ -733,11 +720,9 @@ def _parse_stage(parts: list[str], wires: int, alphabet: Alphabet | None,
     if len(head) != len(_STAGE_FORMS[kind].split()):
         raise MapFormatError(f"{kind} stage is {_STAGE_FORMS[kind]!r}", line)
     stage_wires = tuple(_int_token(w, "a wire", line) for w in wire_toks)
-    for w in stage_wires:
-        if not 1 <= w <= wires:
-            raise MapFormatError(f"stage wire {w} outside 1..{wires}", line)
+    _check_wires(stage_wires, wires)
     if kind == "pi":
-        perm = _parse_perm_once(perms, head[1], len(stage_wires), line)
+        perm = _parse_perm_once(perms, head[1], len(stage_wires))
         return Stage("pi", perm, None, stage_wires)
     if alphabet is None:
         raise MapFormatError(f"{kind} stage needs an alphabet header", line)
@@ -748,15 +733,15 @@ def _parse_stage(parts: list[str], wires: int, alphabet: Alphabet | None,
         o = _int_token(head[3], "a control letter", line)
         alphabet.check_letter(o)
     perm = _parse_perm_once(perms, head[2 if kind == "tg" else 1],
-                            alphabet.size, line)
+                            alphabet.size)
     return Stage(kind, perm, o, stage_wires)
 
 
-def parse_netlist(text: str, alphabet: Alphabet | None = None
-                  ) -> tuple[Netlist, Alphabet | None]:
+def parse_netlist(text: str) -> tuple[Netlist, Alphabet | None]:
     """Parse netlist text.  Returns the netlist and the alphabet named in
-    the header (or the one passed in).  Malformed text raises
+    the header, or None without one.  Malformed text raises
     MapFormatError with its line number."""
+    alphabet = None
     wires = None
     stages = []
     perms: dict[tuple[str, int], Perm] = {}
@@ -769,9 +754,9 @@ def parse_netlist(text: str, alphabet: Alphabet | None = None
                 raise MapFormatError(f"{parts[0]} takes one integer", lineno)
             if parts[0] == "alphabet":
                 declared = Alphabet(_int_token(parts[1], "alphabet", lineno))
-                if alphabet is not None and alphabet != declared:
-                    raise MapFormatError("alphabet header conflicts with "
-                                         "caller", lineno)
+                if alphabet not in (None, declared):
+                    raise MapFormatError("alphabet header conflicts with an "
+                                         "earlier one", lineno)
                 alphabet = declared
             elif parts[0] == "wires":
                 if wires is not None:

@@ -223,7 +223,7 @@ def _cmd_lift_odd(args) -> int:
 
 def _cmd_lift_ts(args) -> int:
     alphabet = Alphabet(args.alphabet)
-    perm = circuit._parse_perm_token(args.perm, alphabet.size)
+    perm = Perm.from_token(args.perm, alphabet.size)
     _check_degree(alphabet.size, 2 * args.n - 3)
     lift = synth.lift_temp_storage(args.n, perm, args.o, args.p)
     verdict = check_temp_storage(lift.realiser, lift.constants, lift.reduct)

@@ -16,8 +16,8 @@ from itertools import chain, permutations
 from typing import Iterable, Mapping, Sequence
 
 from . import ops
-from .core import Alphabet, Map, NotBijectiveError, ShapeError, encode, \
-    identity_map, is_bijective
+from .core import Alphabet, Map, NotBijectiveError, ShapeError, decode, \
+    encode, identity_map, is_bijective
 from .gates import cycle_perm, swap_perm
 from .group import TupleGroup, from_map
 
@@ -448,9 +448,9 @@ def check_realisation(g: Map, generators, caps: SearchCaps,
 
     The search normal form fixes constants on the trailing inputs and
     keeps the leading output components; wire permutations inside the
-    closure make this no loss of generality.  Verdicts are tried strongest
-    first; within a verdict, closure elements are scanned in saturation
-    order and constants lexicographically, and the first witness wins.
+    closure make this no loss of generality.  The strongest verdict with a
+    witness wins, and its witness is the first one in saturation order,
+    constants taken lexicographically.
     """
     gen_set = GeneratorSet.of(generators, alphabet)
     alphabet = gen_set.alphabet
@@ -472,35 +472,30 @@ def check_realisation(g: Map, generators, caps: SearchCaps,
             return RealisationResult("isomorphic", g, (), theta, False)
     sat = saturate(gen_set, caps)
     bounded = sat.capped or sat.overflowed
-    if iso is None and any(f.codes == g.codes and f.arity == m
-                           and f.coarity == n for f in sat.maps):
-        return RealisationResult("isomorphic", g, (), theta, bounded)
-
-    def scan(want_coarity: int | None, want_arity: int | None):
-        for f in sat.maps:
-            if f.arity < m or f.coarity < n:
-                continue
-            if want_coarity is not None and f.coarity != want_coarity:
-                continue
-            if want_arity is not None and f.arity != want_arity:
-                continue
-            # Input x + constants of f has index x * spread + c, c the
-            # constants' code; g's outputs are the high output digits.
-            spread = alphabet.count(f.arity - m)
-            drop = alphabet.count(f.coarity - n)
-            for c, constants in enumerate(alphabet.tuples(f.arity - m)):
-                if all(f.codes[x * spread + c] // drop == gc
-                       for x, gc in enumerate(g.codes)):
-                    return f, constants
-        return None
-
-    for verdict, want_coarity, want_arity in (("no-garbage", n, None),
-                                              ("no-constants", None, m),
-                                              ("general", None, None)):
-        hit = scan(want_coarity, want_arity)
-        if hit:
-            return RealisationResult(verdict, hit[0], hit[1], theta, bounded)
-    return RealisationResult("not-found", capped=bounded)
+    # One pass keeps the first witness of each verdict stronger than the
+    # best so far (rank 0 is the strongest); reaching g itself ends it,
+    # unless the slice has already ruled g out.
+    verdicts = ("no-garbage", "no-constants", "general")
+    best, witness = len(verdicts), None
+    for f in sat.maps:
+        if f.arity < m or f.coarity < n:
+            continue
+        rank = 0 if f.coarity == n else 1 if f.arity == m else 2
+        if iso is None and rank == 0 and f.codes == g.codes:
+            return RealisationResult("isomorphic", g, (), theta, bounded)
+        if rank >= best:
+            continue
+        # Input x + constants of f has index x * spread + c, c the
+        # constants' code; g's outputs are the high output digits.
+        spread = alphabet.count(f.arity - m)
+        drop = alphabet.count(f.coarity - n)
+        for c in range(spread):
+            if tuple([v // drop for v in f.codes[c::spread]]) == g.codes:
+                best, witness = rank, (f, decode(c, alphabet, f.arity - m))
+                break
+    if witness is None:
+        return RealisationResult("not-found", capped=bounded)
+    return RealisationResult(verdicts[best], *witness, theta, bounded)
 
 
 def trailing_map(f: Map, data: Sequence[int], keep: int) -> Map:

@@ -11,6 +11,7 @@ operations rearrange them by integer arithmetic; the tuple view
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -176,11 +177,24 @@ class Perm:
 
     def token(self) -> str:
         """The cycles as netlists and CLI labels write them: "(1,2)(3,4)",
-        or "()" for the identity."""
+        or "()" for the identity.  Read back by :meth:`from_token`."""
         cycles = self.cycles()
         if not cycles:
             return "()"
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
+
+    @classmethod
+    def from_token(cls, token: str, degree: int) -> "Perm":
+        """The permutation of {1, ..., degree} that a :meth:`token` names;
+        a malformed token or a point beyond the degree raises ShapeError."""
+        if token == "()":
+            return cls.identity(degree)
+        if not re.fullmatch(r"(\(\d+(,\d+)*\))+", token):
+            raise ShapeError(f"bad permutation token {token!r}; "
+                             "write cycles like (1,2)(3,4)")
+        return cls.from_cycles(
+            [tuple(int(x) for x in group.split(","))
+             for group in re.findall(r"\(([\d,]+)\)", token)], degree)
 
     def sign(self) -> int:
         flips = sum(len(c) - 1 for c in self.cycles())
@@ -356,7 +370,7 @@ def parse_map(text: str) -> Map:
     ``#`` starts a comment.
     """
     headers: dict[str, int] = {}
-    rows: dict[int, tuple[int, ...]] = {}
+    rows: dict[int, int] = {}  # input code -> output code
     alphabet = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -383,13 +397,10 @@ def parse_map(text: str) -> Map:
             for letter in xs + ys:
                 if not 1 <= letter <= k:
                     raise MapFormatError(f"letter {letter} outside 1..{k}", lineno)
-            try:
-                index = encode(xs, alphabet, headers["arity"])
-            except ShapeError as exc:
-                raise MapFormatError(str(exc), lineno) from None
+            index = encode(xs, alphabet, headers["arity"])
             if index in rows:
                 raise MapFormatError(f"duplicate row for input {xs}", lineno)
-            rows[index] = ys
+            rows[index] = encode(ys, alphabet, headers["coarity"])
         else:
             parts = line.split()
             if len(parts) != 2 or parts[0] not in ("alphabet", "arity", "coarity"):
@@ -416,8 +427,8 @@ def parse_map(text: str) -> Map:
         raise MapFormatError(
             f"table covers {len(rows)} of {expected} inputs; first missing "
             f"input is {decode(missing, alphabet, headers['arity'])}")
-    table = tuple(rows[i] for i in range(expected))
-    return Map(alphabet, headers["arity"], headers["coarity"], table)
+    return Map._unchecked(alphabet, headers["arity"], headers["coarity"],
+                          tuple([rows[i] for i in range(expected)]))
 
 
 def format_map(f: Map) -> str:

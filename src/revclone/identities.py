@@ -78,8 +78,6 @@ def _check_sel_comp(rng, alphabet) -> bool:
     g = random_map(rng, alphabet, rng.randint(1, 2), rng.randint(1, 3))
     k = rng.randint(1, min(f.arity, g.coarity))
     total = f.coarity + g.coarity - k
-    if total < 1:
-        return True
     sel = tuple(sorted(_rand_selection(rng, total, rng.randint(1, total))))
     sel_f = tuple(v for v in sel if v <= f.coarity)
     sel_g = tuple(range(1, k + 1)) + tuple(v - f.coarity + k for v in sel

@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .core import Alphabet, Map, Perm, ShapeError, identity_map
+from .core import Alphabet, Map, Perm, ShapeError
 
 # The largest index list, in entries, that _linear_indices memoises.
 _MEMO_LIMIT = 4096
@@ -215,8 +215,8 @@ def pi(alphabet: Alphabet, alpha: Perm) -> Map:
     alpha^{-1}(j), so the letter on wire i moves to wire alpha(i)."""
     n = alpha.degree
     place = _place_values(alphabet.size, n)
-    return _pull_inputs(identity_map(alphabet, n),
-                        [place[alpha(q) - 1] for q in range(1, n + 1)])
+    return Map._unchecked(alphabet, n, n, _linear_indices(
+        alphabet.size, [place[alpha(q) - 1] for q in range(1, n + 1)]))
 
 
 def _check_selection(theta: Sequence[int], coarity: int,

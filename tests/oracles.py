@@ -231,3 +231,55 @@ def insert_def(positions, constants, f: Map) -> Map:
                                  for p in range(1, f.arity + 1)))
 
     return _pointwise(f, f.arity - len(positions), f.coarity, fn)
+
+
+# -- realisation and temporary storage from their definitions --------------
+
+def realisation_witnesses(g: Map, maps) -> dict:
+    """The first witness (f, constants) of each realisation verdict, with
+    f in the order of maps (a saturation) and constants lexicographic: f
+    realises g when fixing its trailing inputs to the constants, with the
+    public insert, and keeping its leading outputs, with the public
+    select, gives g.  "isomorphic" is g itself, with no constants."""
+    m, n = g.arity, g.coarity
+    found = {}
+    for f in maps:
+        if f.arity < m or f.coarity < n:
+            continue
+        if f == g:
+            found.setdefault("isomorphic", (f, ()))
+        for constants in f.alphabet.tuples(f.arity - m):
+            fixed = ops.insert(range(m + 1, f.arity + 1), constants, f)
+            if ops.select(range(1, n + 1), fixed) == g:
+                for verdict, fits in (("no-garbage", f.coarity == n),
+                                      ("no-constants", f.arity == m),
+                                      ("general", True)):
+                    if fits:
+                        found.setdefault(verdict, (f, constants))
+                break
+    return found
+
+
+def temp_storage_witness(g: Map, maps) -> tuple:
+    """(verdict, f, constants): the first strong pair in the order of maps
+    (a saturation), else the first weak one, else ("not-found", None,
+    None).  Weak: with the trailing inputs set to the constants, f
+    computes g on its leading outputs and returns the constants on the
+    rest.  Strong: also, for every data input, the trailing outputs
+    permute the ancilla tuples."""
+    m, n = g.arity, g.coarity
+    weak = None
+    for f in maps:
+        ancillas = f.arity - m
+        if ancillas < 0 or f.coarity != n + ancillas:
+            continue
+        tails = list(f.alphabet.tuples(ancillas))
+        for a in tails:
+            if any(evaluate(f, x + a) != evaluate(g, x) + a
+                   for x in f.alphabet.tuples(m)):
+                continue
+            if all(len({evaluate(f, x + y)[n:] for y in tails}) == len(tails)
+                   for x in f.alphabet.tuples(m)):
+                return "strong", f, a
+            weak = weak or ("weak", f, a)
+    return weak or ("not-found", None, None)

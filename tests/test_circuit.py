@@ -90,6 +90,59 @@ def test_parse_errors_carry_positions():
     assert parse(glued) == Oplus(IdLit(1), IdLit(2))
 
 
+@pytest.mark.parametrize("reader, text, line, col, message", [
+    (parse, "(oplus (id 1)\n  (id (1)))", 2, 7,
+     "expected a width (an integer)"),
+    (parse, "(pi (q 1 2))", 1, 5, "expected a cycle group (p a b ...)"),
+    (parse, "(pi (p 1 2)\n    1)", 2, 5, "expected a cycle group (p a b ...)"),
+    (parse, "(oplus (id 1)\n  (pi (p)))", 2, 7, "empty cycle group"),
+    (parse, "(oplus 1x (id 1))", 1, 8, "expected a term, got '1x'"),
+    (parse, "((id 1))", 1, 1, "expected an operator"),
+    (parse, "(tau\n ())", 2, 2, "expected an operator"),
+    (parse, "(id 1 2)", 1, 1, "id takes one argument"),
+    (parse, "(pi)", 1, 1, "pi needs at least one cycle group"),
+    (parse, "(bullet (id 1))", 1, 1, "bullet takes at least two arguments"),
+    (parse, "(oplus (id 1)\n\t(tau (id 1) (id 1)))", 2, 2,
+     "tau takes one argument"),
+    (parse, "(sel 1 (id 1))", 1, 1, "sel takes an index list and a term"),
+    (parse, "(ins 1 (id 1))", 1, 1,
+     "ins takes a ((pos letter) ...) list and a term"),
+    (parse, "(ins ((1 2 3)) (id 1))", 1, 7, "expected a (pos letter) pair"),
+    (parse, "(ins (1) (id 1))", 1, 7, "expected a (pos letter) pair"),
+    (parse_program, "(alphabet 2)\n(alphabet 3)\n(id 1)", 2, 1,
+     "duplicate alphabet declaration"),
+    (parse_program, "(alphabet 2 3)\n(id 1)", 1, 1,
+     "alphabet takes one integer"),
+    (parse_program, "(let (F) (id 1))\nF", 1, 1, "let takes a name and a term"),
+    (parse_program, "(id 1)\n  (let F)\nF", 2, 3,
+     "let takes a name and a term"),
+    (parse_program, "(id 1)\n  (id 2)", 2, 3, "multiple result terms"),
+])
+def test_circ_reader_rejections(reader, text, line, col, message):
+    with pytest.raises(CircuitParseError) as err:
+        reader(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"{line}:{col}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(id -1)", "at root: id width must be non-negative: got -1"),
+    ("(oplus (id 1) (tg 0 (p 1 2) 1))",
+     "at .oplus[1]: tg width must be positive: got 0"),
+    ("(sel (1 1) (id 2))", "at root: sel indices must be distinct: got (1, 1)"),
+    ("(oplus (id 1) (sel (3) (id 2)))",
+     "at .oplus[1]: sel index out of range: expected 1..2, got 3"),
+    ("(ins ((2 1) (1 1)) (id 2))",
+     "at root: ins positions must be strictly increasing: got (2, 1)"),
+    ("(tau (ins ((3 1)) (id 2)))",
+     "at .in-perm: ins position out of range: expected 1..2, got 3"),
+])
+def test_shape_rejections_name_the_node(text, message):
+    with pytest.raises(ShapeError) as err:
+        shape_of(parse(text))
+    assert str(err.value) == message
+
+
 def test_shape_errors_name_the_node():
     t = parse("(oplus (id 1) (comp 3 (id 1) (id 1)))")
     with pytest.raises(ShapeError) as err:
@@ -265,6 +318,70 @@ def test_netlist_text_errors():
         assert err.value.line == line
     with pytest.raises(ShapeError):
         Netlist(2, (Stage("u", Perm.from_cycles([(1, 2)]), None, (3,)),))
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("alphabet 2\nwires 2\nx (1,2) @ 1\n", 3, "unknown stage kind 'x'"),
+    ("alphabet 2\nwires 2\nu (1,2) 1 @ 1\n", 3, "u stage is 'u <perm>'"),
+    ("alphabet 2\nwires 2\ntg 2 (1,2) @ 1 2\n", 3,
+     "tg stage is 'tg <n> <perm> <o>'"),
+    ("alphabet 2\nwires 2\n\nwires 2\n", 4, "duplicate wires header"),
+    ("alphabet 2\nwires 2\nu (1,3) @ 1\n", 3,
+     "cycle point exceeds degree: expected <= 2, got 3"),
+    ("alphabet 2\nwires 2\nu (1,1) @ 1\n", 3,
+     "repeated point in cycle: got (1, 1)"),
+    ("alphabet 2\n", None, "missing wires header"),
+    ("# nothing\n", None, "missing wires header"),
+])
+def test_netlist_reader_rejections(text, line, message):
+    with pytest.raises(MapFormatError) as err:
+        parse_netlist(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None
+                              else f"line {line}: {message}")
+
+
+def test_stage_wire_range_has_one_rule():
+    # The reader and the constructor share the check and its message; the
+    # reader adds the line.
+    swap = Perm.from_cycles([(1, 2)])
+    with pytest.raises(ShapeError) as built:
+        Netlist(2, (Stage("u", swap, None, (3,)),))
+    with pytest.raises(MapFormatError) as read:
+        parse_netlist("alphabet 2\nwires 2\nu (1,2) @ 3\n")
+    assert str(read.value) == f"line 3: {built.value}"
+    assert str(built.value) == "stage wire out of range: expected 1..2, got 3"
+
+
+def test_a_second_alphabet_header_must_agree():
+    nl, alphabet = parse_netlist("alphabet 3\nwires 1\nalphabet 3\n")
+    assert (nl, alphabet) == (Netlist(1, ()), A3)
+    with pytest.raises(MapFormatError,
+                       match="^line 3: alphabet header conflicts") as err:
+        parse_netlist("alphabet 3\nwires 1\nalphabet 2\n")
+    assert err.value.line == 3
+
+
+def test_netlist_constructor_rejections():
+    swap = Perm.from_cycles([(1, 2)])
+    for build, message in [
+            (lambda: Stage("x", swap, None, (1,)), "unknown stage kind: got x"),
+            (lambda: Stage("tg", swap, None, (1,)),
+             "tg stage needs wires and a control letter"),
+            (lambda: Stage("tg", swap, 1, ()),
+             "tg stage needs wires and a control letter"),
+            (lambda: Stage("pi", Perm.identity(3), None, (1, 2)),
+             "pi stage degree must match its wire count: expected 2, got 3"),
+            (lambda: Netlist(-1, ()), "wire count must be non-negative: got -1"),
+            (lambda: Netlist(2, (Stage("u", swap, None, (3,)),)),
+             "stage wire out of range: expected 1..2, got 3"),
+            (lambda: simulate(Netlist(1, (Stage("u", Perm.identity(3), None,
+                                                (1,)),)), A2),
+             "gate letter permutation has the wrong degree: "
+             "expected 2, got 3")]:
+        with pytest.raises(ShapeError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_control_letter_outside_alphabet_is_rejected():

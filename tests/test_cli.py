@@ -1,7 +1,8 @@
+import io
 import json
 
 from revclone.cli import main
-from revclone.core import Alphabet, Perm, format_map, parse_map
+from revclone.core import Alphabet, Map, Perm, format_map, parse_map
 from revclone.circuit import parse_netlist, simulate
 from revclone.gates import tg
 
@@ -224,3 +225,59 @@ def test_lift_ts_on_a_one_letter_alphabet_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "alphabet size >= 2" in err
+
+
+def test_gen_accepts_map_files(tmp_path, capsys):
+    swap = write_map(tmp_path, "swap.map",
+                     tg(1, Perm.from_cycles([(1, 2)]), 1))
+    code, out, _ = run(capsys, "closure-order", "--alphabet", "2",
+                       "--arity", "2", "--gen", swap)
+    assert (code, out) == (0, "8\n")
+    code, out, _ = run(capsys, "closure-order", "--alphabet", "2",
+                       "--arity", "2", "--gen", swap, "--json")
+    assert json.loads(out) == {"order": "8", "degree": 4}
+    ternary = write_map(tmp_path, "t.map", tg(1, Perm.from_cycles([(1, 2)],
+                                                                   degree=3), 1))
+    code, out, err = run(capsys, "closure-order", "--alphabet", "2",
+                         "--arity", "2", "--gen", ternary)
+    assert (code, out) == (2, "")
+    assert err == f"error: {ternary}: alphabet mismatch: expected 2, got 3\n"
+
+
+def test_dash_reads_standard_input(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        format_map(tg(2, Perm.from_cycles([(1, 2)]), 1))))
+    code, out, _ = run(capsys, "check", "-")
+    assert code == 0
+    assert out == ("arity: 2\ncoarity: 2\nbalanced: true\n"
+                   "bijective: true\n")
+
+
+def test_check_balanced_flag(tmp_path, capsys):
+    from revclone.gates import fanout
+
+    gate = write_map(tmp_path, "g.map", tg(1, Perm.from_cycles([(1, 2)]), 1))
+    assert run(capsys, "check", gate, "--balanced") == (
+        0, "balanced: true\n", "")
+    fan = write_map(tmp_path, "fan.map", fanout(A2, 2))
+    assert run(capsys, "check", fan, "--balanced") == (
+        1, "balanced: false\n", "")
+    code, out, _ = run(capsys, "check", fan, "--balanced", "--json")
+    assert code == 1
+    assert json.loads(out) == {"arity": 1, "coarity": 2, "balanced": False,
+                               "bijective": False}
+
+
+def test_member_rejects_unusable_targets(tmp_path, capsys):
+    from revclone.gates import fanout
+
+    ternary = write_map(tmp_path, "t.map", tg(1, Perm.from_cycles([(1, 2)],
+                                                                   degree=3), 1))
+    assert run(capsys, "member", ternary, "--alphabet", "2",
+               "--gen", "tg1-swap") == (
+        2, "", "error: target alphabet mismatch: expected 2, got 3\n")
+    for target in (fanout(A2, 2), Map(A2, 1, 1, [(1,), (1,)])):
+        path = write_map(tmp_path, "bad.map", target)
+        assert run(capsys, "member", path, "--alphabet", "2",
+                   "--gen", "tg1-swap") == (
+            2, "", "error: membership target must be a balanced bijection\n")

@@ -17,7 +17,8 @@ from revclone.group import from_map
 from revclone.ops import nabla, oplus, pi, select
 
 from oracles import all_pairs_saturate, bfs_group_elements, \
-    random_bijection, random_table_map, residue_map, select_function_set
+    random_bijection, random_table_map, realisation_witnesses, residue_map, \
+    select_function_set, temp_storage_witness
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -109,6 +110,10 @@ SATURATION_CASES = {
                     False),
     "k2-size-overflow": ([("g", tg(2, SWAP2, 1))], SearchCaps(3, 3, 100),
                          False),
+    # a co-arity-0 generator: its composites and oplus with others keep
+    # zero-width sides, and function_set skips it
+    "k2-erase": ([("erase", Map(A2, 1, 0, [(), ()])),
+                  ("u", tg(1, SWAP2, 1))], SearchCaps(2, 2, 100000), False),
     # overflows on tau of the second map dequeued, before its pairs
     "k2-unary-overflow": ([("g", tg(2, SWAP2, 1))], SearchCaps(3, 3, 5),
                           False),
@@ -309,6 +314,20 @@ def test_saturate_oracle_cases_cover_every_stop():
     assert flags("k3-depth-3") == (True, True)
 
 
+def test_saturate_skips_seeds_beyond_the_caps():
+    gens = [("u", tg(1, SWAP2, 1)), ("wide", tg(3, SWAP2, 1))]
+    caps = SearchCaps(2, 2, 100000)
+    expected = all_pairs_saturate(gens, caps)
+    got = saturate(gens, caps)
+    assert got.maps == expected.maps
+    assert (got.capped, got.overflowed) == (expected.capped,
+                                            expected.overflowed)
+    assert got.capped and not got.overflowed
+    narrow = saturate(gens[:1], caps)
+    assert got.maps == narrow.maps
+    assert got.stats.shape_rejected == narrow.stats.shape_rejected + 1
+
+
 def test_multiclone_flag_is_moot_once_fanout_and_projection_present():
     # with the fan-out and the second projection among the generators,
     # closing under delta/nabla adds nothing
@@ -402,6 +421,29 @@ def test_realisation_strongest_verdict_order():
     result = check_realisation(identity_map(A2, 1),
                                [("g", tg(1, SWAP2, 1))], CAPS3)
     assert result.verdict == "isomorphic"
+
+
+def test_realisation_takes_the_first_witness_of_the_strongest_verdict():
+    gens = [tg(2, SWAP2, 1), fanout(A2, 2)]
+    caps = SearchCaps(3, 3, 600)
+    maps = all_pairs_saturate(gens, caps).maps
+    for g, verdict in [
+            # no-garbage at closure element 9, g itself at element 25
+            (fanout(A2, 3), "isomorphic"),
+            # general at element 92, no-garbage at 133
+            (Map(A2, 1, 2, [(2, 1), (1, 2)]), "no-garbage"),
+            # general at element 8, no-constants at 40
+            (Map(A2, 1, 1, [(2,), (2,)]), "no-constants")]:
+        found = realisation_witnesses(g, maps)
+        assert len(found) >= 2
+        assert verdict == next(v for v in ("isomorphic", "no-garbage",
+                                           "no-constants", "general")
+                               if v in found)
+        result = check_realisation(g, gens, caps)
+        assert (result.verdict, result.realiser, result.constants) == (
+            verdict, *found[verdict])
+        assert result.theta == tuple(range(1, g.coarity + 1))
+        assert result.capped
 
 
 def z5_temp_storage_example():
@@ -502,6 +544,19 @@ def test_search_temp_storage_not_found_is_capped():
     found = search_temp_storage(tg(2, Perm.from_cycles([(1, 2, 3)]), 1),
                                 [("u", tg(1, swap3, 1))], caps)
     assert found.verdict == "not-found"
+    assert found.capped
+
+
+def test_search_temp_storage_settles_for_weak():
+    gens = [("f", Map(A2, 2, 2, [(2, 1), (2, 1), (1, 2), (2, 1)]))]
+    g = Map(A2, 1, 1, [(1,), (1,)])
+    caps = SearchCaps(2, 2, 30)
+    verdict, f, constants = temp_storage_witness(
+        g, all_pairs_saturate(gens, caps).maps)
+    assert verdict == "weak"
+    found = search_temp_storage(g, gens, caps)
+    assert (found.verdict, found.realiser, found.constants) == (
+        verdict, f, constants)
     assert found.capped
 
 

@@ -201,3 +201,50 @@ def test_map_text_errors():
         parse_map("alphabet 2\narity 1\ncoarity 1\n1 -> 3\n2 -> 1\n")
     with pytest.raises(MapFormatError):
         parse_map("arity 1\n1 -> 1\n")
+
+
+_HEADER = "alphabet 2\narity 1\ncoarity 1\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("alphabet 2\n1 -> 1\n", 2, "table row before complete header"),
+    (_HEADER + "1 -> x\n", 4, "non-integer letter"),
+    (_HEADER + "1 1 -> 1\n", 4, "expected 1 input letters, got 2"),
+    (_HEADER + "1 -> 1 1\n", 4, "expected 1 output letters, got 2"),
+    (_HEADER + "1 -> 3\n", 4, "letter 3 outside 1..2"),
+    (_HEADER + "0 -> 1\n", 4, "letter 0 outside 1..2"),
+    (_HEADER + "1 -> 1\n1 -> 2\n", 5, "duplicate row for input (1,)"),
+    ("alphabet 2\nfoo 1\n", 2, "unrecognized line 'foo 1'"),
+    ("alphabet 2 3\n", 1, "unrecognized line 'alphabet 2 3'"),
+    ("alphabet 2\n# c\nalphabet 2\n", 3, "duplicate header 'alphabet'"),
+    ("alphabet two\n", 1, "non-integer alphabet"),
+    ("arity x\n", 1, "non-integer arity"),
+    ("alphabet 0\n", 1, "alphabet size must be positive"),
+    ("alphabet 2\narity -1\n", 2, "arity must be non-negative"),
+    ("alphabet 2\ncoarity -2\n", 2, "coarity must be non-negative"),
+    ("alphabet 2\narity 1\n", None,
+     "missing header line(s): need alphabet, arity, coarity"),
+    ("", None, "missing header line(s): need alphabet, arity, coarity"),
+    (_HEADER + "2 -> 1\n", None,
+     "table covers 1 of 2 inputs; first missing input is (1,)"),
+])
+def test_map_reader_rejections(text, line, message):
+    with pytest.raises(MapFormatError) as err:
+        parse_map(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None
+                              else f"line {line}: {message}")
+
+
+def test_map_reader_builds_the_constructors_map():
+    rng = random.Random(5)
+    for arity, coarity in [(0, 2), (1, 0), (2, 3), (3, 1)]:
+        rows = [tuple(rng.randint(1, 3) for _ in range(coarity))
+                for _ in range(A3.count(arity))]
+        f = Map(A3, arity, coarity, rows)
+        lines = format_map(f).splitlines()
+        body = lines[3:]
+        rng.shuffle(body)
+        back = parse_map("\n".join(lines[:3] + body) + "\n")
+        assert back == f and back.codes == f.codes
+        assert type(back.codes) is tuple

@@ -10,7 +10,7 @@ from revclone.core import (Alphabet, Map, NotBijectiveError, Perm,
                            ShapeError, evaluate, identity_map, is_bijective)
 from revclone import gates
 from revclone.gates import elementary, is_atomic, tg
-from revclone.synth import (_lift_stages, atomic_to_gates,
+from revclone.synth import (_commutator, _lift_stages, atomic_to_gates,
                             decompose_elementary, elementary_to_atomic,
                             embed, factor_over_standard, lift_odd,
                             lift_temp_storage, synthesize)
@@ -300,6 +300,22 @@ def test_commutator_lift_sampled_gates(k):
     # Both signs and the cycle, whose lifts take other branches.
     _check_lift(3, _standard(k)[0])
     _check_lift(3, _standard(k)[1])
+
+
+@pytest.mark.parametrize("k, count", [(3, 2), (5, 59), (7, 2519)])
+def test_commutator_of_every_even_letter_permutation(k, count):
+    # Transpositions at k = 3, even permutations from k = 5 (Ore, 1951).
+    sign = -1 if k == 3 else 1
+    seen = 0
+    for images in itertools.permutations(range(1, k + 1)):
+        alpha = Perm(images)
+        if alpha.sign() != 1 or alpha.is_identity():
+            continue
+        seen += 1
+        beta, gamma = _commutator(alpha)
+        assert beta * gamma * beta.inverse() * gamma.inverse() == alpha
+        assert beta.sign() == gamma.sign() == sign
+    assert seen == count
 
 
 def test_commutator_lift_is_polynomial():

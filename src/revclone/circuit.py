@@ -655,12 +655,15 @@ def stage_term(stage: Stage, width: int) -> Term:
 
 
 def _fold_applied(factors: Sequence[Term]) -> Term:
-    """Bullet-chain of factors given in application order: the last one
-    outermost, because bullet applies its right argument first."""
-    term = factors[0]
-    for nxt in factors[1:]:
-        term = Bullet(nxt, term)
-    return term
+    """Bullet of factors given in application order, the later half on
+    the left, because bullet applies its right argument first.  Bullet is
+    associative, so the tree is balanced: its depth, which bounds the
+    recursion of print_term, shape_of and evaluate_term, grows with the
+    logarithm of the factor count."""
+    if len(factors) == 1:
+        return factors[0]
+    half = len(factors) // 2
+    return Bullet(_fold_applied(factors[half:]), _fold_applied(factors[:half]))
 
 
 def netlist_to_term(nl: Netlist) -> Term:

@@ -128,7 +128,7 @@ def _cmd_eval(args) -> int:
     if args.maps:
         for path in sorted(Path(args.maps).glob("*.map")):
             bindings[path.stem] = parse_map(path.read_text())
-    alphabet = Alphabet(args.alphabet) if args.alphabet else None
+    alphabet = Alphabet(args.alphabet) if args.alphabet is not None else None
     result = circuit.evaluate_program(prog, bindings, alphabet)
     _emit(args, {"map": _map_report(result)},
           [format_map(result).rstrip("\n")])

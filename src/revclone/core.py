@@ -302,6 +302,8 @@ class Map:
 
 def identity_map(alphabet: Alphabet, n: int) -> Map:
     """The identity on A^n (i_n)."""
+    if n < 0:
+        raise ShapeError("arity must be non-negative", actual=n)
     return Map._unchecked(alphabet, n, n, tuple(range(alphabet.count(n))))
 
 

@@ -2,11 +2,10 @@
 
 Ancilla embedding of an arbitrary map into a bijection, factorization of a
 bijection into elementary then atomic tuple swaps, realization of an
-atomic swap by controlled gates, two odd-alphabet lifts of wide controlled
-gates down to one- and two-wire gates (the paper's ladder as a term, and
-a polynomial-size commutator lift as netlist stages), the
-strong-temporary-storage lift down to three-wire gates, and the
-end-to-end synthesis pipeline.
+atomic swap by controlled gates, the odd-alphabet lift of wide controlled
+gates down to one- and two-wire gates (a commutator lift of polynomial
+size, as netlist stages or as a term), the strong-temporary-storage lift
+down to three-wire gates, and the end-to-end synthesis pipeline.
 
 Every construction is verified by simulation in the test suite: netlists
 and terms must reproduce their target tables exactly.
@@ -20,8 +19,8 @@ from typing import Iterator
 from . import gates, ops
 from .core import Alphabet, Map, NotBijectiveError, Perm, ShapeError, \
     _transpositions, decode, encode, is_bijective
-from .circuit import Bullet, IdLit, Netlist, Oplus, PiLit, Stage, Term, \
-    TgLit, _fold_applied, letter_spec, pi_spec, simulate
+from .circuit import IdLit, Netlist, Stage, Term, TgLit, letter_spec, \
+    netlist_to_term, simulate
 from .group import from_map
 
 
@@ -174,9 +173,8 @@ def factor_over_standard(alpha: Perm) -> tuple[Perm, ...]:
     alpha; shortest by breadth-first search, ties broken swap-first."""
     k = alpha.degree
     if k < 2:
-        if alpha.is_identity():
-            return ()
-        raise ShapeError("cannot factor over a one-letter alphabet")
+        # A permutation of fewer than two points is the identity.
+        return ()
     if k > _FACTOR_LIMIT:
         raise ShapeError("letter permutation factoring is table-driven",
                          expected=f"alphabet size <= {_FACTOR_LIMIT}", actual=k)
@@ -213,9 +211,11 @@ def factor_over_standard(alpha: Perm) -> tuple[Perm, ...]:
 def lift_odd(n_target: int, alpha: Perm) -> Term:
     """A term over one- and two-wire gates and wire permutations that
     evaluates to the n_target-wire controlled gate for alpha with control
-    letter 1.  Odd alphabets only: on even alphabets the padded lower
-    gates act as even permutations of the tuples, so wide gates with odd
-    sign are unreachable and no such term exists.
+    letter 1: the gate literal itself up to two wires, else the
+    commutator lift (_lift_stages) as a term, every gate the swap or the
+    cycle.  Odd alphabets only: on even alphabets the padded lower gates
+    act as even permutations of the tuples, so wide gates with odd sign
+    are unreachable and no such term exists.
     """
     k = alpha.degree
     if k < 3 or k % 2 == 0:
@@ -223,74 +223,12 @@ def lift_odd(n_target: int, alpha: Perm) -> Term:
                          actual=k)
     if n_target < 1:
         raise ShapeError("gate width must be positive", actual=n_target)
-    return _lift_tg(n_target, alpha)
-
-
-def _pad_after(gate: Term, pad: int) -> Term:
-    return Oplus(gate, IdLit(pad)) if pad else gate
-
-
-def _pad_before(pad: int, gate: Term) -> Term:
-    return Oplus(IdLit(pad), gate) if pad else gate
-
-
-def _lift_tg(n: int, delta: Perm) -> Term:
-    if n <= 2:
-        if delta.is_identity():
-            return IdLit(n)
-        return TgLit(n, letter_spec(delta), 1)
-    word = factor_over_standard(delta)
-    if not word:
-        return IdLit(n)
-    factors = [_lift_generator(n, gen) for gen in word]
-    return _fold_applied(factors)
-
-
-def _lift_generator(n: int, gamma: Perm) -> Term:
-    """The width-n gate for gamma in {(1 2), (1 ... k)} as a term over
-    width n-1 gates (recursively lifted) and two-wire gates."""
-    k = gamma.degree
-    nn = n - 1
-    swap, cycle = gates.swap_perm(k), gates.cycle_perm(k)
-    wire_swap = PiLit(pi_spec(Perm.from_cycles([(nn, nn + 1)], degree=nn + 1)))
-    tg2 = lambda perm: TgLit(2, letter_spec(perm), 1)
-    if gamma == swap:
-        sigma1 = _fold_applied([
-            _pad_after(_lift_tg(nn, cycle), 1),
-            _pad_before(nn - 1, tg2(swap)),
-            wire_swap,
-            _pad_after(_lift_tg(nn, swap), 1),
-            wire_swap,
-            _pad_after(_lift_tg(nn, cycle.inverse()), 1),
-        ])
-        sigmas = []
-        for m in range(2, k):
-            flip = _pad_after(_lift_tg(nn, Perm.from_cycles([(1, m)], degree=k)), 1)
-            sigmas.append(_fold_applied([flip, _pad_before(nn - 1, tg2(swap)),
-                                         flip]))
-        sigma2 = _fold_applied(sigmas)
-        return Bullet(sigma2, sigma1)
-    if gamma == cycle:
-        beta = cycle ** ((k + 1) // 2)
-        points = [1]
-        while len(points) < k:
-            points.append(beta(points[-1]))
-        half = (k - 1) // 2
-        pairing = Perm.from_cycles(
-            [(points[i], points[k - 1 - i]) for i in range(half)], degree=k)
-        flip = _pad_after(_lift_tg(nn, pairing), 1)
-        return _fold_applied([
-            _pad_before(nn - 1, tg2(beta)),
-            wire_swap,
-            flip,
-            wire_swap,
-            _pad_before(nn - 1, tg2(beta.inverse())),
-            wire_swap,
-            flip,
-            wire_swap,
-        ])
-    raise ShapeError("generator lift only covers the swap and the cycle",
-                     actual=gamma.cycles())
+    if n_target <= 2:
+        if alpha.is_identity():
+            return IdLit(n_target)
+        return TgLit(n_target, letter_spec(alpha), 1)
+    wires = tuple(range(1, n_target + 1))
+    return netlist_to_term(Netlist(n_target, _lift_stages(wires, alpha)))
 
 
 # -- commutator lift -----------------------------------------------------------
@@ -391,8 +329,7 @@ def _lift_stages(wires: tuple[int, ...], alpha: Perm) -> list[Stage]:
       phi with the shortest word that sends {1, 2} to {a, b}, with phi^-1
       and phi as unary gates on the target around C_P(swap).
     - alpha otherwise odd: C_P(swap), then the even C_P(swap * alpha).
-    The stage count grows polynomially with the width, where lift_odd's
-    grows exponentially.
+    The stage count grows polynomially with the width.
     """
     k = alpha.degree
     if k < 3 or k % 2 == 0:
@@ -535,13 +472,12 @@ def synthesize(f: Map, gate_policy: str = "tg-n", o: int = 1) -> Netlist:
 
     Policy "tg-n" uses controlled gates up to the full width.  Policy
     "odd-small" (odd alphabets only, control letter 1) further expands
-    every gate on three or more wires through the commutator lift, whose
-    size is polynomial in the width (lift_odd, the paper's ladder, grows
-    exponentially), and rewrites the remaining letter permutations over
-    the unary swap/cycle and their two-wire gates, so every stage is one
-    of the four standard generators or a wire permutation.  A stage that
-    would cancel the nearest earlier stage on a shared wire is dropped
-    together with it.
+    every gate on three or more wires through the commutator lift (the
+    stages of lift_odd), whose size is polynomial in the width, and
+    rewrites the remaining letter permutations over the unary swap/cycle
+    and their two-wire gates, so every stage is one of the four standard
+    generators or a wire permutation.  A stage that would cancel the
+    nearest earlier stage on a shared wire is dropped together with it.
     """
     if f.arity != f.coarity or not is_bijective(f):
         raise NotBijectiveError("synthesis needs a balanced bijection")

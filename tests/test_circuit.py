@@ -188,6 +188,12 @@ def test_roundtrip_covers_sel_ins_refs():
     assert parse(print_term(t)) == t
 
 
+def test_roundtrip_covers_comp():
+    t = Comp(1, Ref("F"), Oplus(IdLit(1), Ref("G")))
+    assert print_term(t) == "(comp 1 F (oplus (id 1) G))"
+    assert parse(print_term(t)) == t
+
+
 def test_shape_agrees_with_evaluation():
     rng = random.Random(1)
     checked = 0
@@ -238,6 +244,16 @@ def test_empty_netlist_is_identity():
     nl = Netlist(3, ())
     assert simulate(nl, A2) == identity_map(A2, 3)
     assert evaluate_term(netlist_to_term(nl), alphabet=A2) == identity_map(A2, 3)
+
+
+def test_identity_letter_stages_round_trip():
+    ident = Perm.identity(3)
+    nl = Netlist(2, (Stage("u", ident, None, (2,)),
+                     Stage("tg", ident, 1, (2, 1))))
+    text = format_netlist(nl, A3)
+    assert text == "alphabet 3\nwires 2\nu () @ 2\ntg 2 () 1 @ 2 1\n"
+    assert parse_netlist(text) == (nl, A3)
+    assert evaluate_term(netlist_to_term(nl), alphabet=A3) == identity_map(A3, 2)
 
 
 def test_single_full_width_stage():

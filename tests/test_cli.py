@@ -99,6 +99,16 @@ def test_eval_with_bindings(tmp_path, capsys):
     assert result == identity_map(A2, 2)
 
 
+def test_eval_rejects_alphabet_zero(tmp_path, capsys):
+    circ = tmp_path / "t.circ"
+    for text in ("(alphabet 2)\n(id 1)\n", "(id 1)\n"):
+        circ.write_text(text)
+        code, out, err = run(capsys, "eval", str(circ), "--alphabet", "0")
+        assert code == 2
+        assert out == ""
+        assert "alphabet size must be a positive integer" in err
+
+
 def test_lift_odd_eval_pipe_is_byte_exact(tmp_path, capsys):
     code, out, _ = run(capsys, "lift-odd", "--alphabet", "3", "--n", "3",
                        "--swap")

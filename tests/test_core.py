@@ -60,6 +60,11 @@ def test_evaluate_identity():
         assert evaluate(i2, x) == x
 
 
+def test_identity_map_rejects_negative_arity():
+    with pytest.raises(ShapeError):
+        identity_map(A2, -1)
+
+
 def test_evaluate_z7_sum_difference():
     f = residue_map(A7, 2, 2, lambda r: (r[0] + r[1], r[0] - r[1]))
     # residues (2, 3) -> (5, 6); letters are residue + 1

@@ -32,6 +32,13 @@ def random_tuple_perm(rng, degree):
     return TuplePerm(tuple(images))
 
 
+def test_tuple_perm_inverse():
+    p = random_tuple_perm(random.Random(8), 7)
+    assert (p * p.inverse()).is_identity()
+    assert (p.inverse() * p).is_identity()
+    assert p.inverse().inverse() == p
+
+
 def test_from_map_identity():
     assert from_map(identity_map(A3, 2)).is_identity()
 

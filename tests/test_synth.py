@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from revclone.circuit import (Bullet, Netlist, Oplus, TgLit, evaluate_term,
-                              netlist_to_term, shape_of, simulate)
+from revclone.circuit import (Bullet, IdLit, Netlist, Oplus, TgLit,
+                              evaluate_term, netlist_to_term, parse,
+                              print_term, shape_of, simulate)
 from revclone.closure import check_temp_storage
 from revclone.core import (Alphabet, Map, NotBijectiveError, Perm,
                            ShapeError, evaluate, identity_map, is_bijective)
@@ -219,23 +220,44 @@ def test_lift_odd_general_letter_permutation():
 def test_lift_odd_base_cases_are_literals():
     assert evaluate_term(lift_odd(2, CYCLE3), alphabet=A3) == tg(2, CYCLE3, 1)
     assert evaluate_term(lift_odd(1, SWAP3), alphabet=A3) == tg(1, SWAP3, 1)
+    assert lift_odd(2, CYCLE3) == TgLit(2, ((1, 2, 3),), 1)
+    assert lift_odd(2, Perm.identity(3)) == IdLit(2)
+    assert lift_odd(4, Perm.identity(3)) == IdLit(4)
+    # No letter word is needed, so alphabets past the factoring table work.
+    swap11 = Perm.from_cycles([(1, 2)], degree=11)
+    assert lift_odd(2, swap11) == TgLit(2, ((1, 2),), 1)
 
 
-def _gate_widths(term):
+def _tg_literals(term):
     if isinstance(term, TgLit):
-        return [term.n]
+        return [term]
     if isinstance(term, (Bullet, Oplus)):
-        return _gate_widths(term.left) + _gate_widths(term.right)
+        return _tg_literals(term.left) + _tg_literals(term.right)
     return []
 
 
 def test_lift_odd_stage_widths_are_small():
-    for perm in (SWAP3, CYCLE3):
-        term = lift_odd(3, perm)
-        assert shape_of(term) == (3, 3)
-        widths = _gate_widths(term)
-        assert widths
-        assert max(widths) <= 2
+    # Every gate is the swap or the cycle, unary or with one control.
+    for k in (3, 5, 7):
+        swap, cycle = gates.swap_perm(k), gates.cycle_perm(k)
+        images = list(range(1, k + 1))
+        random.Random(40 + k).shuffle(images)
+        for n in (3, 4, 5):
+            for alpha in (swap, cycle, Perm(tuple(images))):
+                term = lift_odd(n, alpha)
+                assert shape_of(term) == (n, n)
+                literals = _tg_literals(term)
+                assert literals
+                for literal in literals:
+                    assert literal.n <= 2 and literal.o == 1
+                    assert (Perm.from_cycles(literal.perm, degree=k)
+                            in (swap, cycle))
+
+
+def test_lift_odd_term_size_is_polynomial():
+    # The paper's ladder construction prints about 2.6e8 characters for
+    # this gate.
+    assert len(print_term(lift_odd(7, gates.swap_perm(5)))) < 10**6
 
 
 def test_lift_odd_k5_square_root():
@@ -255,8 +277,8 @@ def test_lift_odd_four_wires():
 
 
 def test_lift_odd_five_letters():
-    # five letters exercise the full ladder (three middle rungs) and the
-    # longer pairing involution inside the cycle branch
+    # the swap takes the lift's swap rung, with four rounds at five
+    # letters, and the even 5-cycle its commutator branch
     A5 = Alphabet(5)
     swap5 = Perm.from_cycles([(1, 2)], degree=5)
     cycle5 = Perm.from_cycles([(1, 2, 3, 4, 5)])
@@ -319,7 +341,7 @@ def test_commutator_of_every_even_letter_permutation(k, count):
 
 
 def test_commutator_lift_is_polynomial():
-    # The paper's ladder (lift_odd) needs 30,966 stages for this gate.
+    # The paper's ladder construction needs 30,966 stages for this gate.
     swap5 = Perm.from_cycles([(1, 2)], degree=5)
     nl = synthesize(tg(5, swap5, 1), "odd-small")
     assert len(nl.stages) < 3000
@@ -391,6 +413,17 @@ def test_synthesize_random_ternary_pairs():
         f = random_bijection(rng, A3, 2)
         nl = synthesize(f, "tg-n")
         assert simulate(nl, A3) == f
+
+
+def test_long_netlist_term_prints_parses_and_evaluates():
+    # A left-deep bullet chain of this many stages overflows the
+    # recursion of print_term, shape_of and evaluate_term.
+    f = random_bijection(random.Random(1), A3, 4)
+    nl = synthesize(f)
+    assert len(nl.stages) > 1000
+    term = parse(print_term(netlist_to_term(nl)))
+    assert shape_of(term) == (4, 4)
+    assert evaluate_term(term, alphabet=A3) == f
 
 
 def test_synthesize_odd_small_uses_standard_generators_only():

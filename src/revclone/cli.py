@@ -17,14 +17,21 @@ import re
 import sys
 from pathlib import Path
 
-# The circuit and synthesis layers are reached through their module
-# objects, so that the closure subcommands never run them.
-from . import circuit, identities, synth
-from .closure import check_temp_storage, slice_group
+# The layers above core are reached through their module objects, so that
+# a subcommand runs only the layers it uses: check runs core alone, and the
+# closure subcommands never run circuit, synth or identities.
+from . import circuit, closure, gates, group, identities, synth
 from .core import (Alphabet, Map, NotBijectiveError, Perm, ShapeError,
                    format_map, is_balanced, is_bijective, parse_map)
-from .gates import cycle_perm, standard_generators, swap_perm, tg
-from .group import WitnessOverflow, from_map
+
+
+def __getattr__(name):
+    """``slice_group``, which perfbench/selftest.py reads here as an alias
+    of ``closure.slice_group``, served without running closure at import."""
+    if name == "slice_group":
+        return closure.slice_group
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -59,8 +66,9 @@ def builtin_generators(name: str, alphabet: Alphabet) -> list[tuple[str, Map]]:
     m = re.fullmatch(r"tg(\d+)-(swap|cycle)", name)
     if m:
         arity = int(m.group(1))
-        perm = swap_perm(k) if m.group(2) == "swap" else cycle_perm(k)
-        return [(name, tg(arity, perm, 1))]
+        perm = gates.swap_perm(k) if m.group(2) == "swap" \
+            else gates.cycle_perm(k)
+        return [(name, gates.tg(arity, perm, 1))]
     m = re.fullmatch(r"tg-family-lt(\d+)(-allo)?", name)
     if m:
         bound = int(m.group(1))
@@ -76,10 +84,10 @@ def builtin_generators(name: str, alphabet: Alphabet) -> list[tuple[str, Map]]:
                     label = f"tg{i}-{alpha.token()}"
                     if all_o:
                         label += f"-o{o}"
-                    out.append((label, tg(i, alpha, o)))
+                    out.append((label, gates.tg(i, alpha, o)))
         return out
     if name == "std4":
-        return standard_generators(k, 2)
+        return gates.standard_generators(k, 2)
     raise ShapeError(f"unknown generator name {name!r}")
 
 
@@ -157,9 +165,9 @@ def _cmd_closure_order(args) -> int:
     alphabet = Alphabet(args.alphabet)
     _check_degree(alphabet.size, args.arity)
     gens = _resolve_generators(args.gen, alphabet)
-    group = slice_group(gens, args.arity, alphabet)
-    order = group.order()
-    _emit(args, {"order": str(order), "degree": group.degree}, [str(order)])
+    slice_ = closure.slice_group(gens, args.arity, alphabet)
+    order = slice_.order()
+    _emit(args, {"order": str(order), "degree": slice_.degree}, [str(order)])
     return EXIT_OK
 
 
@@ -173,18 +181,18 @@ def _cmd_member(args) -> int:
         raise NotBijectiveError("membership target must be a balanced bijection")
     _check_degree(alphabet.size, target.arity)
     gens = _resolve_generators(args.gen, alphabet)
-    group = slice_group(gens, target.arity, alphabet)
-    perm = from_map(target)
+    slice_ = closure.slice_group(gens, target.arity, alphabet)
+    perm = group.from_map(target)
     word = None
     if args.witness:
-        word = group.witness(perm)
+        word = slice_.witness(perm)
         contained = word is not None
     else:
-        contained = group.contains(perm)
+        contained = slice_.contains(perm)
     report = {"member": contained}
     lines = [f"member: {str(contained).lower()}"]
     if word is not None:
-        names = group.witness_names(word)
+        names = slice_.witness_names(word)
         report["witness"] = list(names)
         lines.append("witness: " + (" ".join(names) if names else "(empty)"))
     _emit(args, report, lines)
@@ -214,7 +222,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_lift_odd(args) -> int:
     alphabet = Alphabet(args.alphabet)
-    perm = swap_perm(alphabet.size) if args.swap else cycle_perm(alphabet.size)
+    perm = gates.swap_perm(alphabet.size) if args.swap \
+        else gates.cycle_perm(alphabet.size)
     term = synth.lift_odd(args.n, perm)
     text = f"(alphabet {alphabet.size})\n{circuit.print_term(term)}\n"
     _emit(args, {"circ": text}, [text.rstrip("\n")])
@@ -226,7 +235,8 @@ def _cmd_lift_ts(args) -> int:
     perm = Perm.from_token(args.perm, alphabet.size)
     _check_degree(alphabet.size, 2 * args.n - 3)
     lift = synth.lift_temp_storage(args.n, perm, args.o, args.p)
-    verdict = check_temp_storage(lift.realiser, lift.constants, lift.reduct)
+    verdict = closure.check_temp_storage(lift.realiser, lift.constants,
+                                         lift.reduct)
     netlist_text = circuit.format_netlist(lift.netlist, alphabet)
     report = {"wires": lift.netlist.wires,
               "ancillas": len(lift.constants),
@@ -263,9 +273,10 @@ def _cmd_scan_conjectures(args) -> int:
     lines = []
     report: dict = {"degree": degree}
 
-    cycle_gens = [("cycle", tg(1, cycle_perm(k), 1)),
-                  (f"tg{n}-cycle", tg(n, cycle_perm(k), 1))]
-    order1 = slice_group(cycle_gens, n, alphabet).order()
+    cycle = gates.cycle_perm(k)
+    cycle_gens = [("cycle", gates.tg(1, cycle, 1)),
+                  (f"tg{n}-cycle", gates.tg(n, cycle, 1))]
+    order1 = closure.slice_group(cycle_gens, n, alphabet).order()
     full_match = order1 == full
     lines.append(f"cycle-only generators at arity {n}: order {order1} "
                  f"of {full} ({'equals' if full_match else 'strictly less than'} "
@@ -274,7 +285,7 @@ def _cmd_scan_conjectures(args) -> int:
                             "matches_full": full_match}
 
     family = builtin_generators(f"tg-family-lt{n}-allo", alphabet)
-    order2 = slice_group(family, n, alphabet).order()
+    order2 = closure.slice_group(family, n, alphabet).order()
     alt = full // 2
     alt_match = order2 == alt
     lines.append(f"all gates below arity {n}, every control letter: order "
@@ -373,12 +384,17 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (DegreeOverflow, WitnessOverflow) as exc:
-        print(f"overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError as exc:
+        # The term readers and walkers recurse once per nesting level.
+        print(f"error: term nested too deeply: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    # Last, since reading group.WitnessOverflow runs the group layer.
+    except (DegreeOverflow, group.WitnessOverflow) as exc:
+        print(f"overflow: {exc}", file=sys.stderr)
+        return EXIT_OVERFLOW
 
 
 if __name__ == "__main__":

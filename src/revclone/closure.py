@@ -10,8 +10,10 @@ predicate.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import chain, permutations
 from typing import Iterable, Mapping, Sequence
 
@@ -179,6 +181,25 @@ def slice_group(generators, n: int, alphabet: Alphabet | None = None
     return TupleGroup.build(named_perms, degree=alphabet.count(n))
 
 
+def _collector_paused(fn):
+    """fn with the cyclic garbage collector paused, if it was enabled.
+    A saturation makes no reference cycles: a collection during one
+    frees nothing, but ages the search's live maps and so brings on full
+    collections of the caller's heap inside it.  A collection that comes
+    due runs at the caller's next allocation after the call instead."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
+@_collector_paused
 def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
              alphabet: Alphabet | None = None) -> SaturationResult:
     """Breadth-first closure under {i_1, oplus, tau, zeta, compose_k},
@@ -198,7 +219,12 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
     map's codes out of the outer map's codes, or out of a table lifted
     from them once per dequeued element, unless the dequeued element is
     the inner map and keeps some of its outputs; that one is built row by
-    row.
+    row.  When every code and table index fits a byte, that is when
+    k^(max_arity + max_coarity - 1) <= 256, candidates' codes are byte
+    strings and a gather is one ``bytes.translate``; past that they are
+    int tuples, gathered by ``itemgetter``.  A kept map's codes are a
+    tuple either way.  Python's cyclic garbage collector is paused while
+    the search runs (_collector_paused).
     The result's ``stats`` count the work done and why the search stopped.
     """
     gen_set = GeneratorSet.of(generators, alphabet)
@@ -206,21 +232,28 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
     seeds = [identity_map(alphabet, 1)]
     seeds.extend(gen_set.maps)
     oplus_codes, compose_codes = ops._oplus_codes, ops._compose_codes
-    gatherer, lift_codes = ops._gatherer, ops._lift_codes
+    gatherer, lift_codes, table_of = ops._gatherer, ops._lift_codes, ops._table
     max_arity, max_coarity = caps.max_arity, caps.max_coarity
     max_size, max_depth = caps.max_size, caps.max_depth
     # power[e] == k^e for every exponent a composite within the caps uses.
     power = [alphabet.count(e) for e in range(max(max_arity, max_coarity) + 1)]
+    # Codes are bytes when every code and lifted-table index, below
+    # k^(max_arity + max_coarity - 1), fits one; tuple() of a tuple is itself.
+    pack = bytes if alphabet.count(max_arity + max_coarity - 1) <= 256 \
+        else tuple
 
     # elems is also the breadth-first queue: elems[i] is dequeued once
-    # every earlier element has been.  shapes[i] and depths[i] are its
-    # (arity, coarity) and depth, and gathers[e][i] is its ops._gatherer
-    # for pad k^e, made on first use; a composite pads by k^e < k^max_arity.
+    # every earlier element has been.  codes_of[i], shapes[i] and depths[i]
+    # are its packed codes, (arity, coarity) and depth, tables_of[i] its
+    # ops._table and gathers[e][i] its ops._gatherer for pad k^e, both
+    # made on first use; a composite pads by k^e < k^max_arity.
     elems: list[Map] = []
+    codes_of: list = []
+    tables_of: list = []
     shapes: list[tuple[int, int]] = []
     depths: list[int] = []
     gathers: list[list] = [[] for _ in range(max_arity)]
-    seen: dict[tuple[int, int], set[tuple[int, ...]]] = {}
+    seen: dict[tuple[int, int], set] = {}
     # pairs_upto[i]: len(elems) when elems[i] was paired, so elems[i] has
     # been combined with exactly the elements before that index.
     pairs_upto: list[int] = []
@@ -236,8 +269,7 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
         shape = (arity, coarity)
         return shape, seen.setdefault(shape, set())
 
-    def admit(shape: tuple[int, int], bucket: set, codes: tuple[int, ...],
-              d: int) -> None:
+    def admit(shape: tuple[int, int], bucket: set, codes, d: int) -> None:
         """Keep a candidate that fits the caps, unless its shape's bucket
         holds it (the pair loop tests a composite's) or a budget ran out."""
         nonlocal overflowed, stop, duplicates, budget_rejected
@@ -251,14 +283,15 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
             budget_rejected += 1
         else:
             bucket.add(codes)
+            codes_of.append(codes)
             shapes.append(shape)
             depths.append(d)
-            elems.append(Map._unchecked(alphabet, *shape, codes))
+            elems.append(Map._unchecked(alphabet, *shape, tuple(codes)))
 
-    def lifted(e: int, t: int) -> tuple[int, ...]:
+    def lifted(e: int, t: int):
         """x's table for composites with pad k^e and tail k^t."""
         if t == 0:
-            return xcodes
+            return xtable
         table = lifts.get((e, t))
         if table is None:
             table = lifts[e, t] = lift_codes(xcodes, power[e], power[t])
@@ -299,7 +332,7 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
 
     for seed in seeds:
         if caps.admits(seed.arity, seed.coarity):
-            admit(*slot(seed.arity, seed.coarity), seed.codes, 0)
+            admit(*slot(seed.arity, seed.coarity), pack(seed.codes), 0)
         else:
             capped = True
             shape_rejected += 1
@@ -308,7 +341,7 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
     while i < len(elems) and not overflowed:
         x = elems[i]
         xa, xc = shapes[i]
-        xcodes = x.codes
+        xcodes = codes_of[i]
         d = depths[i] + 1
         dequeued += 1
         # tau, zeta and delta keep x's shape or drop an input, so their
@@ -324,10 +357,11 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
                 shape_rejected += 1
         built_unary += len(unary)
         for m in unary:
-            admit(*slot(m.arity, m.coarity), m.codes, d)
+            admit(*slot(m.arity, m.coarity), pack(m.codes), d)
         n = len(elems)
-        for column in gathers:
+        for column in (tables_of, *gathers):
             column.extend([None] * (n - len(column)))
+        xtable = tables_of[i] = tables_of[i] or table_of(xcodes)
         pairs_upto.append(n)
         # Earlier elements j with i < pairs_upto[j] were already combined
         # with x; pairs_upto is nondecreasing, so they form [j0, i).
@@ -338,7 +372,7 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
             break
         # Plans and lifted tables depend on x: they last for its pairs.
         plans: dict[tuple[int, int], tuple] = {}
-        lifts: dict[tuple[int, int], tuple[int, ...]] = {}
+        lifts: dict[tuple[int, int], object] = {}
         for j in chain(range(j0), range(i, n)):
             if j == i:
                 p = plan(xa, xc, True)
@@ -350,14 +384,15 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
             pairs += 1
             if not tables:
                 pairs_skipped += 1
-            ycodes = elems[j].codes
+            ycodes = codes_of[j]
             dy = depths[j] + 1
             if dy < d:
                 dy = d
             if n_oplus:
-                admit(*oplus, oplus_codes(xcodes, ycodes, scale), dy)
+                admit(*oplus, pack(oplus_codes(xcodes, ycodes, scale)), dy)
                 if n_oplus == 2:
-                    admit(*oplus, oplus_codes(ycodes, xcodes, power[xc]), dy)
+                    admit(*oplus, pack(oplus_codes(ycodes, xcodes, power[xc])),
+                          dy)
             else:
                 capped = True
                 shape_rejected += rejected
@@ -371,8 +406,11 @@ def saturate(generators, caps: SearchCaps, with_delta_nabla: bool = False,
                 else:
                     admit(shape, bucket, codes, dy)
             for shape, bucket, pad, tail, g in reverse:
-                codes = compose_codes(ycodes, pad, xcodes, tail) \
-                    if g is None else g(ycodes)
+                if g is None:
+                    codes = pack(compose_codes(ycodes, pad, xcodes, tail))
+                else:
+                    ytable = tables_of[j] = tables_of[j] or table_of(ycodes)
+                    codes = g(ytable)
                 if codes in bucket:
                     duplicates += 1
                 else:

@@ -136,18 +136,6 @@ class Perm:
                              expected=self.degree, actual=other.degree)
         return Perm(tuple(other.images[i - 1] for i in self.images))
 
-    def __pow__(self, exponent: int) -> "Perm":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Perm.identity(self.degree)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def inverse(self) -> "Perm":
         images = [0] * self.degree
         for i, j in enumerate(self.images, start=1):

@@ -13,8 +13,11 @@ _compose_codes, input rearrangements gather rows through one index helper
 and output rearrangements relabel codes through another.  A full
 composition is one C-level gather of f's codes at g's codes (_gatherer);
 saturation reuses those gathers, and the tables _lift_codes spreads for
-partial compositions, across the many pairs that share an operand.
-There is no lazy or symbolic composition.
+partial compositions, across the many pairs that share an operand.  The
+gather kernels also take codes packed as bytes, when every code and
+table index fits a byte: a gather is then one bytes.translate through a
+table padded to 256 entries (_table).  There is no lazy or symbolic
+composition.
 """
 
 from __future__ import annotations
@@ -87,26 +90,36 @@ def _oplus_codes(fcodes, gcodes, scale: int) -> tuple[int, ...]:
 
 def _gatherer(gcodes, pad: int):
     """The gather that composes any f of the right shape with g: applied
-    to f's codes, or to _lift_codes(f's codes, pad, tail) when g leaves
-    outputs unconsumed, it returns the codes of compose_k(f, g, k), where
-    pad is k^(arity f - k) and tail is k^(coarity g - k).  The table must
-    be a tuple."""
+    to f's table (_table), or to _lift_codes(f's codes, pad, tail) when g
+    leaves outputs unconsumed, it returns the codes of compose_k(f, g, k),
+    where pad is k^(arity f - k) and tail is k^(coarity g - k).  For byte
+    codes the gather is bytes.translate and returns bytes; otherwise it
+    is an itemgetter and returns a tuple."""
     indices = gcodes if pad == 1 else \
         [gc * pad + r for gc in gcodes for r in range(pad)]
+    if isinstance(gcodes, bytes):
+        return bytes(indices).translate
     if len(indices) == 1:
         # itemgetter of one index returns the item, not a 1-tuple
         return itemgetter(slice(indices[0], indices[0] + 1))
     return itemgetter(*indices)
 
 
-def _lift_codes(fcodes, pad: int, tail: int) -> tuple[int, ...]:
-    """f's codes spread over g's unconsumed outputs: entry gc * pad + r is
-    the code of the composite row that reads g's output code gc and f's
-    remaining input r (see _gatherer)."""
-    return tuple([fc * tail + rest
-                  for head in range(0, len(fcodes), pad)
-                  for rest in range(tail)
-                  for fc in fcodes[head:head + pad]])
+def _table(codes):
+    """codes as a gather table: byte codes padded to the 256 entries that
+    bytes.translate reads, tuple codes as they are."""
+    return codes.ljust(256, b"\0") if isinstance(codes, bytes) else codes
+
+
+def _lift_codes(fcodes, pad: int, tail: int):
+    """f's codes spread over g's unconsumed outputs, as a gather table of
+    f's encoding: entry gc * pad + r is the code of the composite row that
+    reads g's output code gc and f's remaining input r (see _gatherer)."""
+    table = [fc * tail + rest
+             for head in range(0, len(fcodes), pad)
+             for rest in range(tail)
+             for fc in fcodes[head:head + pad]]
+    return _table(bytes(table)) if isinstance(fcodes, bytes) else tuple(table)
 
 
 def _compose_codes(fcodes, pad: int, gcodes, tail: int) -> tuple[int, ...]:

@@ -109,6 +109,19 @@ def test_eval_rejects_alphabet_zero(tmp_path, capsys):
         assert "alphabet size must be a positive integer" in err
 
 
+def test_eval_of_a_too_deep_term_is_a_data_error(tmp_path, capsys):
+    # 1,200 nested taus exceed the reader's recursion limit: one error line
+    # and exit 2, not a traceback and exit 1
+    circ = tmp_path / "deep.circ"
+    circ.write_text("(alphabet 2)\n" + "(tau " * 1200 + "(id 2)"
+                    + ")" * 1200 + "\n")
+    code, out, err = run(capsys, "eval", str(circ))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: term nested too deeply")
+    assert err.count("\n") == 1
+
+
 def test_lift_odd_eval_pipe_is_byte_exact(tmp_path, capsys):
     code, out, _ = run(capsys, "lift-odd", "--alphabet", "3", "--n", "3",
                        "--swap")

@@ -1,11 +1,13 @@
 import gc
+import inspect
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
 
-from revclone import ops
+from revclone import closure, ops
 from revclone.closure import (GeneratorSet, SearchCaps, check_realisation,
                               check_temp_storage, function_set, op_K, op_R,
                               op_S, saturate, search_temp_storage,
@@ -117,64 +119,106 @@ SATURATION_CASES = {
     # overflows on tau of the second map dequeued, before its pairs
     "k2-unary-overflow": ([("g", tg(2, SWAP2, 1))], SearchCaps(3, 3, 5),
                           False),
+    # caps past a byte, k^(max_arity + max_coarity - 1) > 256: codes stay
+    # int tuples (2^9 = 512 and 3^6 = 729)
+    "k2-wide-arity0": ([("c", Map(A2, 0, 1, [(2,)])),
+                        ("g", tg(2, SWAP2, 1))], SearchCaps(5, 5, 300),
+                       False),
+    "k3-wide-tg2": ([("g", tg(2, CYCLE3, 1))], SearchCaps(3, 4, 300), False),
+    "k3-wide-delta-nabla": ([("fan", fanout(A3, 2)),
+                             ("u", tg(1, CYCLE3, 1))],
+                            SearchCaps(3, 4, 300), True),
+    # caps at a byte, 2^(1 + 8 - 1) = 256: codes reach 255
+    "k2-byte-edge": ([("fan", fanout(A2, 2)), ("c", Map(A2, 0, 1, [(2,)]))],
+                     SearchCaps(1, 8, 400), False),
     **{f"k3-depth-{d}": (standard_generators(3, 2),
                          SearchCaps(3, 3, 100000, max_depth=d), False)
        for d in (1, 2, 3)},
 }
 
 
-def record_builds(monkeypatch) -> list[tuple]:
+def record_builds(monkeypatch) -> tuple[list[tuple], list]:
     """Record every composite table saturate builds, as (id of f's codes,
-    pad, id of g's codes, tail, kernel), where compose_k(f, g, k) has pad
-    k^(arity f - k) and tail k^(coarity g - k).  Saturate gathers g's
-    codes (ops._gatherer) out of f's codes or out of a table lifted from
-    them (ops._lift_codes), or calls ops._compose_codes."""
+    pad, id of g's codes, tail, kernel, encoding), where compose_k(f, g, k)
+    has pad k^(arity f - k) and tail k^(coarity g - k).  Saturate gathers
+    g's codes (ops._gatherer) out of f's table (ops._table) or out of a
+    table lifted from f's codes (ops._lift_codes), or calls
+    ops._compose_codes.  The operands are saturate's packed codes of kept
+    maps, which may be byte strings; the second list returned holds
+    saturate's list of them, read from its frame at the first build, so
+    that each names its kept map."""
     built = []
-    lifted = {}  # id of a lifted table -> (id of f's codes, pad, tail)
-    keep = []  # lifted tables stay alive, so their ids stay unique
+    packed = []  # [saturate's codes_of], in the order of the kept maps
+    sources = {}  # id of a table -> (id of f's codes, pad or None, tail)
+    keep = []  # tables stay alive, so their ids stay unique
     gatherer, lift_codes = ops._gatherer, ops._lift_codes
-    compose_codes = ops._compose_codes
+    table_of, compose_codes = ops._table, ops._compose_codes
+
+    def record(fid, pad, gcodes, tail, kernel, encoding):
+        if not packed:
+            frame = sys._getframe(2)
+            code = inspect.unwrap(closure.saturate).__code__
+            while frame.f_code is not code:
+                frame = frame.f_back
+            packed.append(frame.f_locals["codes_of"])
+        built.append((fid, pad, id(gcodes), tail, kernel, encoding))
 
     def recording_gatherer(gcodes, pad):
         gather = gatherer(gcodes, pad)
 
         def recording_gather(table):
-            fid, lift_pad, tail = lifted.get(id(table), (id(table), pad, 1))
-            assert lift_pad == pad
-            built.append((fid, pad, id(gcodes), tail, "gather"))
+            fid, table_pad, tail = sources[id(table)]
+            assert table_pad in (None, pad)
+            record(fid, pad, gcodes, tail, "gather", type(table).__name__)
             return gather(table)
 
         return recording_gather
 
+    def recording_table(codes):
+        table = table_of(codes)
+        keep.append(table)
+        sources[id(table)] = (id(codes), None, 1)
+        return table
+
     def recording_lift_codes(fcodes, pad, tail):
         table = lift_codes(fcodes, pad, tail)
         keep.append(table)
-        lifted[id(table)] = (id(fcodes), pad, tail)
+        sources[id(table)] = (id(fcodes), pad, tail)
         return table
 
     def recording_compose_codes(fcodes, pad, gcodes, tail):
-        built.append((id(fcodes), pad, id(gcodes), tail, "comprehension"))
+        record(id(fcodes), pad, gcodes, tail, "comprehension",
+               type(fcodes).__name__)
         return compose_codes(fcodes, pad, gcodes, tail)
 
     monkeypatch.setattr(ops, "_gatherer", recording_gatherer)
+    monkeypatch.setattr(ops, "_table", recording_table)
     monkeypatch.setattr(ops, "_lift_codes", recording_lift_codes)
     monkeypatch.setattr(ops, "_compose_codes", recording_compose_codes)
-    return built
+    return built, packed
 
 
-def composites_built(sat, built) -> list[tuple[Map, Map, int, str]]:
-    """The recorded builds as (f, g, k, kernel).  Saturate passes the
-    codes of kept maps, so each build names its operands."""
-    by_codes = {id(m.codes): m for m in sat.maps}
+def composites_built(sat, recorded) -> list[tuple[Map, Map, int, str, str]]:
+    """The builds record_builds recorded, as (f, g, k, kernel, encoding)."""
+    built, (codes_of,) = recorded
+    assert [tuple(codes) for codes in codes_of] == [m.codes for m in sat.maps]
+    by_codes = {id(codes): m for codes, m in zip(codes_of, sat.maps)}
     assert len(by_codes) == len(sat.maps)
     size = sat.maps[0].alphabet.size
     out = []
-    for fid, pad, gid, tail, kernel in built:
+    for fid, pad, gid, tail, kernel, encoding in built:
         f, g = by_codes[fid], by_codes[gid]
         k = next(k for k in range(f.arity + 1) if size ** (f.arity - k) == pad)
         assert tail == size ** (g.coarity - k)
-        out.append((f, g, k, kernel))
+        out.append((f, g, k, kernel, encoding))
     return out
+
+
+def byte_codes(gens, caps) -> bool:
+    """Whether saturate packs codes as bytes under these caps: every code
+    and table index is below k^(max_arity + max_coarity - 1)."""
+    size = GeneratorSet.of(gens).alphabet.size
+    return size ** (caps.max_arity + caps.max_coarity - 1) <= 256
 
 
 @pytest.mark.parametrize("name", sorted(SATURATION_CASES))
@@ -186,34 +230,39 @@ def test_saturate_matches_all_pairs_oracle(name, monkeypatch):
     assert got.maps == expected.maps
     assert (got.capped, got.overflowed) == (expected.capped,
                                             expected.overflowed)
+    assert all(type(m.codes) is tuple for m in got.maps)
     # each pair of maps is combined once, and composites of out-of-cap
     # shape are flagged, never built
     composites = composites_built(got, built)
     pairs = []
-    for f, g, k, _ in composites:
+    for f, g, k, _, encoding in composites:
         assert caps.admits(f.arity + g.arity - k, f.coarity + g.coarity - k)
+        assert encoding == ("bytes" if byte_codes(gens, caps) else "tuple")
         pairs.append((id(f), id(g), k))
     assert pairs and len(set(pairs)) == len(pairs)
     assert len(pairs) == got.stats.built_compose
 
 
 def test_saturate_oracle_cases_cover_every_composite_kernel(monkeypatch):
-    # (kernel, pad > 1, tail > 1, g has one row) over every case
+    # (kernel, pad > 1, tail > 1, g has one row, encoding) over every case
     seen = set()
     for gens, caps, dn in SATURATION_CASES.values():
         with monkeypatch.context() as patch:
             built = record_builds(patch)
             sat = saturate(gens, caps, with_delta_nabla=dn)
-        seen.update((kernel, f.arity > k, g.coarity > k, g.arity == 0)
-                    for f, g, k, kernel in composites_built(sat, built))
-    for pad, tail in itertools.product((False, True), repeat=2):
-        assert ("gather", pad, tail, False) in seen
-    assert ("gather", False, False, True) in seen
-    # the comprehension builds y after x when y leaves outputs of x
-    # unconsumed
-    assert {("comprehension", False, True, False),
-            ("comprehension", True, True, False)} <= seen
-    assert all(tail for kernel, _, tail, _ in seen
+        seen.update((kernel, f.arity > k, g.coarity > k, g.arity == 0,
+                     encoding)
+                    for f, g, k, kernel, encoding in composites_built(sat,
+                                                                      built))
+    for encoding in ("bytes", "tuple"):
+        for pad, tail in itertools.product((False, True), repeat=2):
+            assert ("gather", pad, tail, False, encoding) in seen
+        assert ("gather", False, False, True, encoding) in seen
+        # the comprehension builds y after x when y leaves outputs of x
+        # unconsumed
+        assert {("comprehension", False, True, False, encoding),
+                ("comprehension", True, True, False, encoding)} <= seen
+    assert all(tail for kernel, _, tail, _, _ in seen
                if kernel == "comprehension")
 
 
@@ -233,6 +282,35 @@ def test_saturate_retains_nothing_across_calls():
     finally:
         tracemalloc.stop()
     assert retained < 64 * 1024
+
+
+def test_saturate_runs_no_collection_and_restores_the_collector():
+    # the search makes no reference cycles, so the cyclic collector is
+    # paused for its duration and left as it was found, also on an error
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    caps = SearchCaps(3, 3, 1500)
+    gc.callbacks.append(count)
+    try:
+        sat = saturate([("g", tg(2, CYCLE3, 1))], caps)
+        assert gc.isenabled()
+        assert collections == []
+        gc.disable()
+        try:
+            saturate([("g", tg(2, CYCLE3, 1))], caps)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        with pytest.raises(ShapeError):
+            saturate([("g", tg(2, CYCLE3, 1))], caps, alphabet=Alphabet(2))
+        assert gc.isenabled()
+    finally:
+        gc.callbacks.remove(count)
+    assert len(sat.maps) > gc.get_threshold()[0]
 
 
 @pytest.mark.parametrize("name", sorted(SATURATION_CASES))

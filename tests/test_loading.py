@@ -65,6 +65,31 @@ print(json.dumps({name: type(sys.modules["revclone." + name])
     assert not ran["circuit"] and not ran["synth"] and not ran["identities"]
 
 
+def test_check_and_eval_leave_the_closure_layers_unrun(tmp_path):
+    f = tmp_path / "f.map"
+    f.write_text("alphabet 2\narity 1\ncoarity 1\n1 -> 2\n2 -> 1\n")
+    circ = tmp_path / "t.circ"
+    circ.write_text("(alphabet 2)\n(oplus (tau (id 2)) (id 1))\n")
+    for argv, used in ((["check", str(f)], {"core"}),
+                       (["eval", str(circ)], {"core", "ops", "circuit"})):
+        ran = json.loads(run_fresh("""
+import contextlib, io, json, sys, types
+from revclone.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(%r)
+print(json.dumps([code, sorted(name for name in %r if type(sys.modules[
+    "revclone." + name]) is types.ModuleType)]))
+""" % (argv, sorted(SUBMODULES))))
+        assert ran == [0, sorted(used)]
+
+
+def test_cli_still_serves_slice_group():
+    from revclone import cli
+    assert cli.slice_group is revclone.closure.slice_group
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
 def test_every_exported_name_is_its_defining_modules_object():
     assert set(revclone.__all__) == STAR_NAMES
     for name in revclone.__all__:

@@ -58,6 +58,9 @@ SATURATE_CASES = {
     "std4-k3-size": (_std4(3), SearchCaps(2, 2, 300), False, None),
     "cycle-k3-dn": ([tg(1, CYCLE3, 1)], SearchCaps(2, 2, 400), True, None),
     "empty-k3": ([], SearchCaps(2, 2, 1000), True, A3),
+    # caps past a byte, 3^(3 + 4 - 1) = 729 > 256, so saturate keeps int
+    # tuple codes; every other case packs them as bytes
+    "std4-k3-wide": (_std4(3), SearchCaps(3, 4, 400), True, None),
 }
 
 PINNED_SATURATE = {
@@ -77,6 +80,8 @@ PINNED_SATURATE = {
         "427978d986d4caa6475d2ffbd45ee6a4105ed5c01af5ce3e76d821fb08ac2baf",
     "empty-k3":
         "736388cf11fecbe1c173435d371fcf7c025c3247aff7f6fc702c9c65f0068357",
+    "std4-k3-wide":
+        "058f09f5e9900d4cb6447840f07b348172d9ebc3da5b9c3c5965a78f1a940244",
 }
 
 
@@ -106,6 +111,8 @@ PINNED_SATURATE_STATS = {
         "f8392bde6edd05a7925f6ae11fe20e823c90224c912806751aeb5af77c95738a",
     "empty-k3":
         "298716799fe43eb4d11bd94073e060836b5a11b7a8e97085d423f8e49b03cd9d",
+    "std4-k3-wide":
+        "66cb0856486e19b13e035ae4c4b2d5e60c9af6f870285af403ce86bca20010bd",
 }
 
 

@@ -260,12 +260,6 @@ def test_lift_odd_term_size_is_polynomial():
     assert len(print_term(lift_odd(7, gates.swap_perm(5)))) < 10**6
 
 
-def test_lift_odd_k5_square_root():
-    c5 = Perm.from_cycles([(1, 2, 3, 4, 5)])
-    beta = c5 ** 3
-    assert beta * beta == c5
-
-
 def test_lift_odd_rejects_even_alphabets():
     with pytest.raises(ShapeError):
         lift_odd(3, SWAP2)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
 from . import gates, ops
@@ -160,13 +160,6 @@ class Program:
 
 # -- permutation literal helpers -------------------------------------------
 
-def spec_degree(spec: PermSpec) -> int:
-    points = [p for cycle in spec for p in cycle]
-    if not points:
-        raise ShapeError("permutation literal mentions no points")
-    return max(points)
-
-
 def pi_spec(perm: Perm) -> PermSpec:
     """Cycle spec for a wire permutation, padded with a singleton so the
     degree survives printing."""
@@ -184,6 +177,26 @@ def letter_spec(perm: Perm) -> PermSpec:
     if not cycles:
         cycles = ((1,),)
     return cycles
+
+
+# -- term walks ---------------------------------------------------------------
+
+def _run(walk):
+    """The value of a term walk, with a list for its stack, so terms nest
+    as deep as memory allows.  A walk is a generator over one node: it
+    yields each child's walk, is sent back that child's value, and returns
+    its own value."""
+    stack, value = [], None
+    while True:
+        try:
+            child = walk.send(value)
+        except StopIteration as done:
+            if not stack:
+                return done.value
+            walk, value = stack.pop(), done.value
+        else:
+            stack.append(walk)
+            walk, value = child, None
 
 
 # -- parsing ----------------------------------------------------------------
@@ -260,7 +273,8 @@ def _cycles_from(nodes) -> PermSpec:
     return tuple(cycles)
 
 
-def _term_from_sexp(node) -> Term:
+def _term_from_sexp(node):
+    """Walk (see _run) of a read s-expression to the term it spells."""
     if node[0] == "atom":
         text = node[1]
         if _NAME_RE.match(text):
@@ -287,22 +301,24 @@ def _term_from_sexp(node) -> Term:
     if head in ("oplus", "bullet"):
         if len(args) < 2:
             raise _err(node, f"{head} takes at least two arguments")
-        ctor = Oplus if head == "oplus" else Bullet
-        return reduce(ctor, [_term_from_sexp(a) for a in args])
+        children = []
+        for a in args:
+            children.append((yield _term_from_sexp(a)))
+        return reduce(Oplus if head == "oplus" else Bullet, children)
     if head == "comp":
         if len(args) != 3:
             raise _err(node, "comp takes k and two terms")
-        return Comp(_as_int(args[0], "k"),
-                    _term_from_sexp(args[1]), _term_from_sexp(args[2]))
+        return Comp(_as_int(args[0], "k"), (yield _term_from_sexp(args[1])),
+                    (yield _term_from_sexp(args[2])))
     if head in _UNARY_BY_NAME:
         if len(args) != 1:
             raise _err(node, f"{head} takes one argument")
-        return _UNARY_BY_NAME[head](_term_from_sexp(args[0]))
+        return _UNARY_BY_NAME[head]((yield _term_from_sexp(args[0])))
     if head == "sel":
         if len(args) != 2 or args[0][0] != "list":
             raise _err(node, "sel takes an index list and a term")
         indices = tuple(_as_int(i, "an index") for i in args[0][1])
-        return Sel(indices, _term_from_sexp(args[1]))
+        return Sel(indices, (yield _term_from_sexp(args[1])))
     if head == "ins":
         if len(args) != 2 or args[0][0] != "list":
             raise _err(node, "ins takes a ((pos letter) ...) list and a term")
@@ -312,7 +328,7 @@ def _term_from_sexp(node) -> Term:
                 raise _err(pair, "expected a (pos letter) pair")
             items_out.append((_as_int(pair[1][0], "a position"),
                               _as_int(pair[1][1], "a letter")))
-        return Ins(tuple(items_out), _term_from_sexp(args[1]))
+        return Ins(tuple(items_out), (yield _term_from_sexp(args[1])))
     raise _err(node, f"unknown operator {head!r}")
 
 
@@ -321,7 +337,7 @@ def parse(text: str) -> Term:
     forms = _read_sexps(text)
     if len(forms) != 1:
         raise CircuitParseError("expected exactly one term", 1, 1)
-    return _term_from_sexp(forms[0])
+    return _run(_term_from_sexp(forms[0]))
 
 
 def parse_program(text: str) -> Program:
@@ -346,11 +362,11 @@ def parse_program(text: str) -> Program:
             name = node[1][1][1]
             if not _NAME_RE.match(name):
                 raise _err(node[1][1], f"bad binding name {name!r}")
-            lets.append((name, _term_from_sexp(node[1][2])))
+            lets.append((name, _run(_term_from_sexp(node[1][2]))))
             continue
         if result is not None:
             raise _err(node, "multiple result terms")
-        result = _term_from_sexp(node)
+        result = _run(_term_from_sexp(node))
     if result is None:
         raise CircuitParseError("no result term", 1, 1)
     return Program(alphabet, tuple(lets), result)
@@ -364,28 +380,41 @@ def _spec_text(spec: PermSpec) -> str:
 
 def print_term(t: Term) -> str:
     """Render a term; parse(print_term(t)) reproduces t."""
+    return "".join(_run(_print(t, [])))
+
+
+def _print(t: Term, out: list[str]):
+    """Walk (see _run) that appends the text of t to out and returns out."""
+    children = ()
     if isinstance(t, Ref):
-        return t.name
-    if isinstance(t, IdLit):
-        return f"(id {t.n})"
-    if isinstance(t, TgLit):
-        return f"(tg {t.n} {_spec_text(t.perm)} {t.o})"
-    if isinstance(t, PiLit):
-        return f"(pi {_spec_text(t.perm)})"
-    if isinstance(t, Oplus):
-        return f"(oplus {print_term(t.left)} {print_term(t.right)})"
-    if isinstance(t, Comp):
-        return f"(comp {t.k} {print_term(t.left)} {print_term(t.right)})"
-    if isinstance(t, Bullet):
-        return f"(bullet {print_term(t.left)} {print_term(t.right)})"
-    if isinstance(t, Unary):
-        return f"({_UNARY[type(t)][0]} {print_term(t.child)})"
-    if isinstance(t, Sel):
-        return f"(sel ({' '.join(map(str, t.indices))}) {print_term(t.child)})"
-    if isinstance(t, Ins):
+        text = t.name
+    elif isinstance(t, IdLit):
+        text = f"(id {t.n})"
+    elif isinstance(t, TgLit):
+        text = f"(tg {t.n} {_spec_text(t.perm)} {t.o})"
+    elif isinstance(t, PiLit):
+        text = f"(pi {_spec_text(t.perm)})"
+    elif isinstance(t, (Oplus, Comp, Bullet)):
+        text = (f"(comp {t.k}" if isinstance(t, Comp)
+                else "(oplus" if isinstance(t, Oplus) else "(bullet")
+        children = (t.left, t.right)
+    elif isinstance(t, Unary):
+        text, children = f"({_UNARY[type(t)][0]}", (t.child,)
+    elif isinstance(t, Sel):
+        text = f"(sel ({' '.join(map(str, t.indices))})"
+        children = (t.child,)
+    elif isinstance(t, Ins):
         pairs = " ".join(f"({p} {a})" for p, a in t.items)
-        return f"(ins ({pairs}) {print_term(t.child)})"
-    raise TypeError(f"not a term: {t!r}")
+        text, children = f"(ins ({pairs})", (t.child,)
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    out.append(text)
+    if children:
+        for child in children:
+            out.append(" ")
+            yield _print(child, out)
+        out.append(")")
+    return out
 
 
 # -- shape checking ---------------------------------------------------------
@@ -394,15 +423,33 @@ def shape_of(t: Term, shapes: Mapping[str, tuple[int, int]] | None = None
              ) -> tuple[int, int]:
     """(arity, coarity) of a term, computed without building tables.
     Shape failures name the offending node by its path from the root."""
-    return _shape(t, shapes or {}, "")
+    return _run(_shape(t, shapes or {}, None))
 
 
-def _fail(path: str, message: str, **kw) -> ShapeError:
-    where = path or "root"
-    return ShapeError(f"at {where}: {message}", **kw)
+def _fail(path, message: str, **kw) -> ShapeError:
+    """A shape error at path: None at the root, else (the parent's path,
+    a step), which shares the parent's path instead of copying it."""
+    steps = []
+    while path:
+        path, step = path
+        steps.append(step)
+    return ShapeError(f"at {''.join(steps[::-1]) or 'root'}: {message}", **kw)
 
 
-def _shape(t: Term, shapes, path: str) -> tuple[int, int]:
+@lru_cache(maxsize=1024)
+def _spec_perm(spec: PermSpec) -> Perm:
+    """The permutation a literal's cycles spell, of degree their largest
+    point: a pi literal's wire permutation.  Perm.from_cycles rejects
+    points below 1 and points repeated within a cycle.  Cached, since a
+    netlist's term repeats a few literals many times."""
+    perm = Perm.from_cycles(spec)
+    if not perm.degree:
+        raise ShapeError("permutation literal mentions no points")
+    return perm
+
+
+def _shape(t: Term, shapes, path):
+    """Walk (see _run) to the (arity, coarity) of t."""
     if isinstance(t, Ref):
         if t.name not in shapes:
             raise _fail(path, f"unbound name {t.name!r}")
@@ -411,35 +458,37 @@ def _shape(t: Term, shapes, path: str) -> tuple[int, int]:
         if t.n < 0:
             raise _fail(path, "id width must be non-negative", actual=t.n)
         return (t.n, t.n)
-    if isinstance(t, TgLit):
-        if t.n < 1:
-            raise _fail(path, "tg width must be positive", actual=t.n)
-        return (t.n, t.n)
-    if isinstance(t, PiLit):
-        d = spec_degree(t.perm)
-        return (d, d)
+    if isinstance(t, TgLit) and t.n < 1:
+        raise _fail(path, "tg width must be positive", actual=t.n)
+    if isinstance(t, (TgLit, PiLit)):
+        try:
+            d = _spec_perm(t.perm).degree
+        except ShapeError as exc:
+            raise _fail(path, str(exc)) from None
+        # A tg literal's letter degree is the alphabet's, checked by _eval.
+        return (t.n, t.n) if isinstance(t, TgLit) else (d, d)
     if isinstance(t, Oplus):
-        ln, lm = _shape(t.left, shapes, path + ".oplus[0]")
-        rn, rm = _shape(t.right, shapes, path + ".oplus[1]")
+        ln, lm = yield _shape(t.left, shapes, (path, ".oplus[0]"))
+        rn, rm = yield _shape(t.right, shapes, (path, ".oplus[1]"))
         return (ln + rn, lm + rm)
     if isinstance(t, (Comp, Bullet)):
         tag = "comp" if isinstance(t, Comp) else "bullet"
-        ln, lm = _shape(t.left, shapes, path + f".{tag}[0]")
-        rn, rm = _shape(t.right, shapes, path + f".{tag}[1]")
+        ln, lm = yield _shape(t.left, shapes, (path, f".{tag}[0]"))
+        rn, rm = yield _shape(t.right, shapes, (path, f".{tag}[1]"))
         k = t.k if isinstance(t, Comp) else min(ln, rm)
         if not 0 <= k <= min(ln, rm):
             raise _fail(path, "composition out of range",
                         expected=f"0 <= k <= min({ln}, {rm})", actual=k)
         return (ln + rn - k, lm + rm - k)
     if isinstance(t, Unary):
-        n, m = _shape(t.child, shapes, path + _UNARY[type(t)][1])
+        n, m = yield _shape(t.child, shapes, (path, _UNARY[type(t)][1]))
         if isinstance(t, Delta):
             return (n - 1, m) if n >= 2 else (n, m)
         if isinstance(t, Nabla):
             return (n + 1, m)
         return (n, m)
     if isinstance(t, Sel):
-        n, m = _shape(t.child, shapes, path + ".sel")
+        n, m = yield _shape(t.child, shapes, (path, ".sel"))
         if len(set(t.indices)) != len(t.indices):
             raise _fail(path, "sel indices must be distinct", actual=t.indices)
         for i in t.indices:
@@ -448,7 +497,7 @@ def _shape(t: Term, shapes, path: str) -> tuple[int, int]:
                             expected=f"1..{m}", actual=i)
         return (n, len(t.indices))
     if isinstance(t, Ins):
-        n, m = _shape(t.child, shapes, path + ".ins")
+        n, m = yield _shape(t.child, shapes, (path, ".ins"))
         positions = [p for p, _ in t.items]
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise _fail(path, "ins positions must be strictly increasing",
@@ -475,7 +524,7 @@ def evaluate_term(t: Term, bindings: Mapping[str, Map] | None = None,
             raise ShapeError(f"binding {name!r} uses a different alphabet",
                              expected=alphabet.size, actual=bound.alphabet.size)
     shape_of(t, {name: (m.arity, m.coarity) for name, m in bindings.items()})
-    return _eval(t, bindings, alphabet)
+    return _run(_eval(t, bindings, alphabet))
 
 
 def _need_alphabet(alphabet: Alphabet | None) -> Alphabet:
@@ -484,7 +533,8 @@ def _need_alphabet(alphabet: Alphabet | None) -> Alphabet:
     return alphabet
 
 
-def _eval(t: Term, bindings, alphabet: Alphabet | None) -> Map:
+def _eval(t: Term, bindings, alphabet: Alphabet | None):
+    """Walk (see _run) to the map t denotes."""
     if isinstance(t, Ref):
         return bindings[t.name]
     if isinstance(t, IdLit):
@@ -493,26 +543,26 @@ def _eval(t: Term, bindings, alphabet: Alphabet | None) -> Map:
         k = _need_alphabet(alphabet).size
         return gates.tg(t.n, Perm.from_cycles(t.perm, degree=k), t.o)
     if isinstance(t, PiLit):
-        return ops.pi(_need_alphabet(alphabet), Perm.from_cycles(t.perm))
+        return ops.pi(_need_alphabet(alphabet), _spec_perm(t.perm))
     if isinstance(t, Oplus):
-        return ops.oplus(_eval(t.left, bindings, alphabet),
-                         _eval(t.right, bindings, alphabet))
+        return ops.oplus((yield _eval(t.left, bindings, alphabet)),
+                         (yield _eval(t.right, bindings, alphabet)))
     if isinstance(t, Comp):
-        return ops.compose_k(_eval(t.left, bindings, alphabet),
-                             _eval(t.right, bindings, alphabet), t.k)
+        return ops.compose_k((yield _eval(t.left, bindings, alphabet)),
+                             (yield _eval(t.right, bindings, alphabet)), t.k)
     if isinstance(t, Bullet):
-        return ops.bullet(_eval(t.left, bindings, alphabet),
-                          _eval(t.right, bindings, alphabet))
+        return ops.bullet((yield _eval(t.left, bindings, alphabet)),
+                          (yield _eval(t.right, bindings, alphabet)))
     if isinstance(t, Unary):
         operation = getattr(ops, _UNARY[type(t)][2])
-        return operation(_eval(t.child, bindings, alphabet))
+        return operation((yield _eval(t.child, bindings, alphabet)))
     if isinstance(t, Sel):
-        return ops.select(t.indices, _eval(t.child, bindings, alphabet))
+        return ops.select(t.indices, (yield _eval(t.child, bindings, alphabet)))
     if isinstance(t, Ins):
         positions = tuple(p for p, _ in t.items)
         constants = tuple(a for _, a in t.items)
         return ops.insert(positions, constants,
-                          _eval(t.child, bindings, alphabet))
+                          (yield _eval(t.child, bindings, alphabet)))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -657,9 +707,9 @@ def stage_term(stage: Stage, width: int) -> Term:
 def _fold_applied(factors: Sequence[Term]) -> Term:
     """Bullet of factors given in application order, the later half on
     the left, because bullet applies its right argument first.  Bullet is
-    associative, so the tree is balanced: its depth, which bounds the
-    recursion of print_term, shape_of and evaluate_term, grows with the
-    logarithm of the factor count."""
+    associative, so the tree is balanced: printed lift-odd terms keep
+    their text, and the dataclass ==, hash and repr, which recurse, see a
+    depth that grows with the logarithm of the factor count."""
     if len(factors) == 1:
         return factors[0]
     half = len(factors) // 2

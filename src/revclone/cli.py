@@ -387,10 +387,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError as exc:
-        # The term readers and walkers recurse once per nesting level.
-        print(f"error: term nested too deeply: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     # Last, since reading group.WitnessOverflow runs the group layer.
     except (DegreeOverflow, group.WitnessOverflow) as exc:
         print(f"overflow: {exc}", file=sys.stderr)

@@ -136,11 +136,21 @@ def test_circ_reader_rejections(reader, text, line, col, message):
      "at root: ins positions must be strictly increasing: got (2, 1)"),
     ("(tau (ins ((3 1)) (id 2)))",
      "at .in-perm: ins position out of range: expected 1..2, got 3"),
+    ("(pi (p 0 1))", "at root: cycle point out of range: expected 1..1, got 0"),
+    ("(pi (p 1 1))", "at root: repeated point in cycle: got (1, 1)"),
+    ("(tg 2 (p 1 1) 1)", "at root: repeated point in cycle: got (1, 1)"),
+    ("(bullet (id 2) (tg 2 (p 2 1) (p -1 2) 1))",
+     "at .bullet[1]: cycle point out of range: expected 1..2, got -1"),
 ])
 def test_shape_rejections_name_the_node(text, message):
     with pytest.raises(ShapeError) as err:
         shape_of(parse(text))
     assert str(err.value) == message
+
+
+def test_literal_points_may_repeat_across_cycles():
+    assert shape_of(parse("(pi (p 1 2) (p 2 3))")) == (3, 3)
+    assert shape_of(parse("(tg 2 (p 1 2) (p 2 3) 1)")) == (2, 2)
 
 
 def test_shape_errors_name_the_node():
@@ -192,6 +202,47 @@ def test_roundtrip_covers_comp():
     t = Comp(1, Ref("F"), Oplus(IdLit(1), Ref("G")))
     assert print_term(t) == "(comp 1 F (oplus (id 1) G))"
     assert parse(print_term(t)) == t
+
+
+# Twenty times Python's default recursion limit.  Term ==, hash and repr
+# still recurse, so these tests compare text, shapes and maps, never terms.
+DEEP = 20_000
+
+
+def test_deep_term_round_trips_as_text():
+    text = "(tau " * DEEP + "(id 2)" + ")" * DEEP
+    assert print_term(parse(text)) == text
+
+
+def test_deep_term_shapes_and_evaluates():
+    t = parse("(zeta " * DEEP + "(tg 2 (p 1 2) 1)" + ")" * DEEP)
+    assert shape_of(t) == (2, 2)
+    # zeta on two wires is the input swap; an even number of them cancel
+    assert evaluate_term(t, alphabet=A2) == tg(2, Perm.from_cycles([(1, 2)]), 1)
+
+
+def test_deep_left_bullet_chain_built_in_code():
+    swap = tg(1, Perm.from_cycles([(1, 2)]), 1)
+    t = IdLit(1)
+    for _ in range(DEEP):
+        t = Bullet(t, Ref("swap"))
+    assert print_term(t) == "(bullet " * DEEP + "(id 1)" + " swap)" * DEEP
+    assert shape_of(t, {"swap": (1, 1)}) == (1, 1)
+    assert evaluate_term(t, {"swap": swap}) == identity_map(A2, 1)
+
+
+def test_deep_shape_error_names_the_full_path():
+    t = parse("(tau " * DEEP + "(sel (3) (id 2))" + ")" * DEEP)
+    with pytest.raises(ShapeError) as err:
+        shape_of(t)
+    assert str(err.value) == ("at " + ".in-perm" * DEEP
+                              + ": sel index out of range: expected 1..2, got 3")
+
+
+def test_deep_parse_error_keeps_its_position():
+    with pytest.raises(CircuitParseError) as err:
+        parse("(tau " * DEEP + "(id 2 3)" + ")" * DEEP)
+    assert str(err.value) == f"1:{5 * DEEP + 1}: id takes one argument"
 
 
 def test_shape_agrees_with_evaluation():

@@ -2,7 +2,8 @@ import io
 import json
 
 from revclone.cli import main
-from revclone.core import Alphabet, Map, Perm, format_map, parse_map
+from revclone.core import (Alphabet, Map, Perm, format_map, identity_map,
+                           parse_map)
 from revclone.circuit import parse_netlist, simulate
 from revclone.gates import tg
 
@@ -109,17 +110,24 @@ def test_eval_rejects_alphabet_zero(tmp_path, capsys):
         assert "alphabet size must be a positive integer" in err
 
 
-def test_eval_of_a_too_deep_term_is_a_data_error(tmp_path, capsys):
-    # 1,200 nested taus exceed the reader's recursion limit: one error line
-    # and exit 2, not a traceback and exit 1
+def test_eval_of_a_deeply_nested_term_prints_its_map(tmp_path, capsys):
+    # 1,200 nested taus, deeper than Python's default recursion limit;
+    # an even number of input swaps is the identity
     circ = tmp_path / "deep.circ"
     circ.write_text("(alphabet 2)\n" + "(tau " * 1200 + "(id 2)"
                     + ")" * 1200 + "\n")
     code, out, err = run(capsys, "eval", str(circ))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: term nested too deeply")
-    assert err.count("\n") == 1
+    assert (code, err) == (0, "")
+    assert out == format_map(identity_map(A2, 2))
+
+
+def test_eval_names_the_node_of_a_malformed_literal(tmp_path, capsys):
+    circ = tmp_path / "bad.circ"
+    circ.write_text("(alphabet 2)\n(oplus (id 1) (pi (p 0 1)))\n")
+    code, out, err = run(capsys, "eval", str(circ))
+    assert (code, out) == (2, "")
+    assert err == ("error: at .oplus[1]: cycle point out of range: "
+                   "expected 1..1, got 0\n")
 
 
 def test_lift_odd_eval_pipe_is_byte_exact(tmp_path, capsys):

@@ -410,8 +410,8 @@ def test_synthesize_random_ternary_pairs():
 
 
 def test_long_netlist_term_prints_parses_and_evaluates():
-    # A left-deep bullet chain of this many stages overflows the
-    # recursion of print_term, shape_of and evaluate_term.
+    # More stages than Python's default recursion limit; the term is a
+    # balanced bullet tree of them.
     f = random_bijection(random.Random(1), A3, 4)
     nl = synthesize(f)
     assert len(nl.stages) > 1000

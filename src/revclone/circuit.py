@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, partial, reduce
 from typing import Mapping, Sequence
 
 from . import gates, ops
@@ -524,7 +524,9 @@ def evaluate_term(t: Term, bindings: Mapping[str, Map] | None = None,
             raise ShapeError(f"binding {name!r} uses a different alphabet",
                              expected=alphabet.size, actual=bound.alphabet.size)
     shape_of(t, {name: (m.arity, m.coarity) for name, m in bindings.items()})
-    return _run(_eval(t, bindings, alphabet))
+    # One table per distinct literal: a netlist's term repeats a few
+    # literals many times.
+    return _run(_eval(t, bindings, cache(partial(_literal, alphabet))))
 
 
 def _need_alphabet(alphabet: Alphabet | None) -> Alphabet:
@@ -533,36 +535,42 @@ def _need_alphabet(alphabet: Alphabet | None) -> Alphabet:
     return alphabet
 
 
-def _eval(t: Term, bindings, alphabet: Alphabet | None):
-    """Walk (see _run) to the map t denotes."""
+def _literal(alphabet: Alphabet | None, t: IdLit | TgLit | PiLit) -> Map:
+    alphabet = _need_alphabet(alphabet)
+    if isinstance(t, IdLit):
+        return identity_map(alphabet, t.n)
+    if isinstance(t, TgLit):
+        return gates.tg(t.n, Perm.from_cycles(t.perm, degree=alphabet.size),
+                        t.o)
+    return ops.pi(alphabet, _spec_perm(t.perm))
+
+
+def _eval(t: Term, bindings, literal):
+    """Walk (see _run) to the map t denotes; literal gives the map of a
+    literal node."""
     if isinstance(t, Ref):
         return bindings[t.name]
-    if isinstance(t, IdLit):
-        return identity_map(_need_alphabet(alphabet), t.n)
-    if isinstance(t, TgLit):
-        k = _need_alphabet(alphabet).size
-        return gates.tg(t.n, Perm.from_cycles(t.perm, degree=k), t.o)
-    if isinstance(t, PiLit):
-        return ops.pi(_need_alphabet(alphabet), _spec_perm(t.perm))
+    if isinstance(t, (IdLit, TgLit, PiLit)):
+        return literal(t)
     if isinstance(t, Oplus):
-        return ops.oplus((yield _eval(t.left, bindings, alphabet)),
-                         (yield _eval(t.right, bindings, alphabet)))
+        return ops.oplus((yield _eval(t.left, bindings, literal)),
+                         (yield _eval(t.right, bindings, literal)))
     if isinstance(t, Comp):
-        return ops.compose_k((yield _eval(t.left, bindings, alphabet)),
-                             (yield _eval(t.right, bindings, alphabet)), t.k)
+        return ops.compose_k((yield _eval(t.left, bindings, literal)),
+                             (yield _eval(t.right, bindings, literal)), t.k)
     if isinstance(t, Bullet):
-        return ops.bullet((yield _eval(t.left, bindings, alphabet)),
-                          (yield _eval(t.right, bindings, alphabet)))
+        return ops.bullet((yield _eval(t.left, bindings, literal)),
+                          (yield _eval(t.right, bindings, literal)))
     if isinstance(t, Unary):
         operation = getattr(ops, _UNARY[type(t)][2])
-        return operation((yield _eval(t.child, bindings, alphabet)))
+        return operation((yield _eval(t.child, bindings, literal)))
     if isinstance(t, Sel):
-        return ops.select(t.indices, (yield _eval(t.child, bindings, alphabet)))
+        return ops.select(t.indices, (yield _eval(t.child, bindings, literal)))
     if isinstance(t, Ins):
         positions = tuple(p for p, _ in t.items)
         constants = tuple(a for _, a in t.items)
         return ops.insert(positions, constants,
-                          (yield _eval(t.child, bindings, alphabet)))
+                          (yield _eval(t.child, bindings, literal)))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -750,19 +758,16 @@ def _int_token(token: str, what: str, line: int) -> int:
 _STAGE_FORMS = {"tg": "tg <n> <perm> <o>", "pi": "pi <perm>", "u": "u <perm>"}
 
 
-def _parse_perm_once(perms: dict[tuple[str, int], Perm], token: str,
-                     degree: int) -> Perm:
-    """Perm.from_token through perms, which keeps every token that parsed
-    (so a bad token is reported on each line that has it)."""
-    key = (token, degree)
-    perm = perms.get(key)
-    if perm is None:
-        perm = perms[key] = Perm.from_token(token, degree)
-    return perm
+@lru_cache(maxsize=1024)
+def _token_perm(token: str, degree: int) -> Perm:
+    """Perm.from_token, cached, since a netlist repeats a few tokens on
+    many lines.  Errors are not cached, so a bad token is reported on each
+    line that has it."""
+    return Perm.from_token(token, degree)
 
 
 def _parse_stage(parts: list[str], wires: int, alphabet: Alphabet | None,
-                 line: int, perms: dict[tuple[str, int], Perm]) -> Stage:
+                 line: int) -> Stage:
     if "@" not in parts[1:]:
         raise MapFormatError("stage line needs a kind and '@ wires'", line)
     at = parts.index("@", 1)
@@ -775,7 +780,7 @@ def _parse_stage(parts: list[str], wires: int, alphabet: Alphabet | None,
     stage_wires = tuple(_int_token(w, "a wire", line) for w in wire_toks)
     _check_wires(stage_wires, wires)
     if kind == "pi":
-        perm = _parse_perm_once(perms, head[1], len(stage_wires))
+        perm = _token_perm(head[1], len(stage_wires))
         return Stage("pi", perm, None, stage_wires)
     if alphabet is None:
         raise MapFormatError(f"{kind} stage needs an alphabet header", line)
@@ -785,8 +790,7 @@ def _parse_stage(parts: list[str], wires: int, alphabet: Alphabet | None,
             raise MapFormatError("tg width disagrees with wire list", line)
         o = _int_token(head[3], "a control letter", line)
         alphabet.check_letter(o)
-    perm = _parse_perm_once(perms, head[2 if kind == "tg" else 1],
-                            alphabet.size)
+    perm = _token_perm(head[2 if kind == "tg" else 1], alphabet.size)
     return Stage(kind, perm, o, stage_wires)
 
 
@@ -797,7 +801,6 @@ def parse_netlist(text: str) -> tuple[Netlist, Alphabet | None]:
     alphabet = None
     wires = None
     stages = []
-    perms: dict[tuple[str, int], Perm] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -821,8 +824,7 @@ def parse_netlist(text: str) -> tuple[Netlist, Alphabet | None]:
             elif wires is None:
                 raise MapFormatError("stage before wires header", lineno)
             else:
-                stages.append(_parse_stage(parts, wires, alphabet, lineno,
-                                           perms))
+                stages.append(_parse_stage(parts, wires, alphabet, lineno))
         except ShapeError as exc:
             raise MapFormatError(str(exc), lineno) from None
     if wires is None:

@@ -286,7 +286,7 @@ def _cmd_scan_conjectures(args) -> int:
 
     family = builtin_generators(f"tg-family-lt{n}-allo", alphabet)
     order2 = closure.slice_group(family, n, alphabet).order()
-    alt = full // 2
+    alt = max(full // 2, 1)  # |A_1| = 1
     alt_match = order2 == alt
     lines.append(f"all gates below arity {n}, every control letter: order "
                  f"{order2}; alternating-group order is {alt} "

@@ -13,8 +13,8 @@ and terms must reproduce their target tables exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import gates, ops
 from .core import Alphabet, Map, NotBijectiveError, Perm, ShapeError, \
@@ -103,8 +103,10 @@ def _atomic_steps(x: tuple[int, ...], y: tuple[int, ...]
     return steps + steps[-2::-1]
 
 
+@functools.cache
 def _letter_swaps(k: int) -> dict[tuple[int, int], Perm]:
-    """Each transposition of k letters, keyed by its pair in either order."""
+    """Each transposition of k letters, keyed by its pair in either order;
+    one shared table per k, which callers only read."""
     return {(a, b): Perm.from_cycles([(a, b)], degree=k)
             for a in range(1, k + 1) for b in range(1, k + 1) if a != b}
 
@@ -164,8 +166,34 @@ def atomic_to_gates(a: Map, o: int) -> Netlist:
 
 # -- factoring letter permutations over the swap and the cycle ----------------
 
-_FACTOR_CACHE: dict[int, dict[tuple[int, ...], Perm | None]] = {}
 _FACTOR_LIMIT = 9
+
+
+@functools.cache
+def _words(k: int) -> dict[tuple[int, ...], Perm | None]:
+    """The images of every permutation of k letters, in breadth-first
+    order over {(1 2), (1 ... k)} (shortest words first, ties broken
+    swap-first), each mapped to the last letter of its word (None: the
+    identity), to rebuild words backwards; one shared table per k, which
+    callers only read."""
+    if k > _FACTOR_LIMIT:
+        raise ShapeError("letter permutation factoring is table-driven",
+                         expected=f"alphabet size <= {_FACTOR_LIMIT}", actual=k)
+    gens = (gates.swap_perm(k), gates.cycle_perm(k))
+    identity = Perm.identity(k).images
+    table: dict[tuple[int, ...], Perm | None] = {identity: None}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gen in gens:
+                images = gen.images
+                child = tuple([images[i - 1] for i in p])
+                if child not in table:
+                    table[child] = gen
+                    nxt.append(child)
+        frontier = nxt
+    return table
 
 
 def factor_over_standard(alpha: Perm) -> tuple[Perm, ...]:
@@ -175,28 +203,7 @@ def factor_over_standard(alpha: Perm) -> tuple[Perm, ...]:
     if k < 2:
         # A permutation of fewer than two points is the identity.
         return ()
-    if k > _FACTOR_LIMIT:
-        raise ShapeError("letter permutation factoring is table-driven",
-                         expected=f"alphabet size <= {_FACTOR_LIMIT}", actual=k)
-    table = _FACTOR_CACHE.get(k)
-    if table is None:
-        # Breadth-first on raw images; each permutation keeps only the last
-        # letter of its word (None: the identity), to rebuild words backwards.
-        gens = (gates.swap_perm(k), gates.cycle_perm(k))
-        identity = Perm.identity(k).images
-        table = {identity: None}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for gen in gens:
-                    images = gen.images
-                    child = tuple([images[i - 1] for i in p])
-                    if child not in table:
-                        table[child] = gen
-                        nxt.append(child)
-            frontier = nxt
-        _FACTOR_CACHE[k] = table
+    table = _words(k)
     word = []
     images = alpha.images
     while (gen := table[images]) is not None:
@@ -232,16 +239,6 @@ def lift_odd(n_target: int, alpha: Perm) -> Term:
 
 
 # -- commutator lift -----------------------------------------------------------
-
-_COMMUTATOR_CACHE: dict[tuple[int, ...], tuple[Perm, Perm]] = {}
-
-
-def _by_word_length(k: int) -> Iterator[tuple[int, ...]]:
-    """The images of every permutation of k letters, in the breadth-first
-    order of factor_over_standard: shortest words first."""
-    factor_over_standard(Perm.identity(k))
-    return iter(_FACTOR_CACHE[k])
-
 
 def _full_cycles(p: Perm) -> list[tuple[int, ...]]:
     """The cycles of p with its fixed points as 1-cycles, longest first."""
@@ -282,6 +279,7 @@ def _relabelling(x: Perm, d: Perm, sign: int) -> Perm | None:
     return None
 
 
+@functools.cache
 def _commutator(alpha: Perm) -> tuple[Perm, Perm]:
     """beta and gamma with beta * gamma * beta^-1 * gamma^-1 == alpha, for
     an even alpha on an odd number k of letters.
@@ -292,20 +290,15 @@ def _commutator(alpha: Perm) -> tuple[Perm, Perm]:
     beta^-1 * alpha is conjugate to beta^-1 by a permutation gamma of the
     same sign.
     """
-    pair = _COMMUTATOR_CACHE.get(alpha.images)
-    if pair is None:
-        k = alpha.degree
-        sign = -1 if k == 3 else 1
-        for images in _by_word_length(k):
-            beta = Perm(images)
-            if beta.sign() != sign:
-                continue
-            x = beta.inverse()
-            phi = _relabelling(x, x * alpha, sign)
-            if phi is not None:
-                pair = _COMMUTATOR_CACHE[alpha.images] = beta, phi.inverse()
-                break
-    return pair
+    sign = -1 if alpha.degree == 3 else 1
+    for images in _words(alpha.degree):
+        beta = Perm(images)
+        if beta.sign() != sign:
+            continue
+        x = beta.inverse()
+        phi = _relabelling(x, x * alpha, sign)
+        if phi is not None:
+            return beta, phi.inverse()
 
 
 def _lift_stages(wires: tuple[int, ...], alpha: Perm) -> list[Stage]:
@@ -358,7 +351,7 @@ def _lift_stages(wires: tuple[int, ...], alpha: Perm) -> list[Stage]:
         cycles = perm.cycles()
         if perm != swap and len(cycles) == 1 and len(cycles[0]) == 2:
             ends = set(cycles[0])
-            phi = Perm(next(images for images in _by_word_length(k)
+            phi = Perm(next(images for images in _words(k)
                             if {images[0], images[1]} == ends))
             gate((), target, phi.inverse())
             gate(controls, target, swap)
@@ -471,12 +464,11 @@ def synthesize(f: Map, gate_policy: str = "tg-n", o: int = 1) -> Netlist:
     """Factor a balanced bijection into a gate netlist.
 
     Policy "tg-n" uses controlled gates up to the full width.  Policy
-    "odd-small" (odd alphabets only, control letter 1) further expands
-    every gate on three or more wires through the commutator lift (the
-    stages of lift_odd), whose size is polynomial in the width, and
-    rewrites the remaining letter permutations over the unary swap/cycle
-    and their two-wire gates, so every stage is one of the four standard
-    generators or a wire permutation.  A stage that would cancel the
+    "odd-small" (odd alphabets only, control letter 1) further rewrites
+    every gate through the commutator lift (the stages of lift_odd),
+    whose size is polynomial in the width, so every stage is one of the
+    four standard generators (the unary swap and cycle and their two-wire
+    gates) or a wire permutation.  A stage that would cancel the
     nearest earlier stage on a shared wire is dropped together with it.
     """
     if f.arity != f.coarity or not is_bijective(f):
@@ -504,21 +496,12 @@ def synthesize(f: Map, gate_policy: str = "tg-n", o: int = 1) -> Netlist:
                 _add_stage(stages, stage)
     if gate_policy == "tg-n":
         return Netlist(n, tuple(stages))
-    # Every wide gate is on all n wires, so its lift depends on its
-    # letter permutation alone.
-    lifts: dict[Perm, list[Stage]] = {}
+    # A gate's lift depends on its wires and letter permutation alone.
+    lift = functools.cache(_lift_stages)
     out: list[Stage] = []
     for stage in stages:
-        if stage.kind == "pi":
-            narrow = [stage]
-        elif len(stage.wires) > 2:
-            narrow = lifts.get(stage.perm)
-            if narrow is None:
-                narrow = lifts[stage.perm] = _lift_stages(stage.wires,
-                                                          stage.perm)
-        else:
-            narrow = [Stage(stage.kind, gen, stage.o, stage.wires)
-                      for gen in factor_over_standard(stage.perm)]
-        for s in narrow:
+        lifted = ([stage] if stage.kind == "pi"
+                  else lift(stage.wires, stage.perm))
+        for s in lifted:
             _add_stage(out, s)
     return Netlist(n, tuple(out))

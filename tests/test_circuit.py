@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from revclone import circuit, gates, ops
 from revclone.circuit import (Bullet, CircuitParseError, Comp, Delta, IdLit,
                               Ins, Nabla, Netlist, Oplus,
                               PiLit, Ref, Sel, Stage, Tau, TgLit,
@@ -13,6 +14,7 @@ from revclone.core import (Alphabet, MapFormatError, Perm, ShapeError,
                            evaluate, identity_map, is_bijective)
 from revclone.gates import tg
 from revclone.ops import bullet, oplus
+from revclone.synth import lift_odd
 
 
 A2 = Alphabet(2)
@@ -274,6 +276,30 @@ def test_evaluate_sigma_chain_reproduces_wide_gate():
     prog = parse_program(text)
     m = evaluate_program(prog, alphabet=A3)
     assert m == tg(3, Perm.from_cycles([(1, 2)], degree=3), 1)
+
+
+def test_evaluation_builds_each_distinct_literal_once(monkeypatch):
+    swap5 = gates.swap_perm(5)
+    term = lift_odd(4, swap5)
+    expected = tg(4, swap5, 1)
+    literals, stack = [], [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (IdLit, TgLit, PiLit)):
+            literals.append(node)
+        else:
+            stack.extend(getattr(node, side) for side in ("left", "right")
+                         if hasattr(node, side))
+    built = []
+    for module, name in ((circuit, "identity_map"), (gates, "tg"),
+                         (ops, "pi")):
+        def counted(*args, _build=getattr(module, name)):
+            built.append(args)
+            return _build(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert evaluate_term(term, alphabet=Alphabet(5)) == expected
+    # 506 leaves, 11 of them distinct.
+    assert len(built) == len(set(literals)) < len(literals)
 
 
 def test_program_alphabet_header_and_lets():

@@ -209,6 +209,16 @@ def test_scan_conjectures_observational_wording(capsys):
     assert "order" in out
 
 
+def test_scan_conjectures_at_degree_one(capsys):
+    # One letter, two wires: one tuple, and |A_1| = |S_1| = 1.
+    code, out, _ = run(capsys, "scan-conjectures", "--alphabet", "1",
+                       "--n", "2", "--json")
+    assert code == 0
+    below = json.loads(out)["below_family"]
+    assert below == {"order": "1", "alternating": "1",
+                     "matches_alternating": True}
+
+
 def test_scan_degree_guard(capsys):
     code, _, err = run(capsys, "scan-conjectures", "--alphabet", "5",
                        "--n", "9")

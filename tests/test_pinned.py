@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from revclone.circuit import format_netlist
+from revclone.circuit import format_netlist, print_term
 from revclone.cli import main
 from revclone.closure import (SearchCaps, check_realisation,
                               check_temp_storage, function_set, op_S,
@@ -23,7 +23,7 @@ from revclone.core import Alphabet, Map, Perm, format_map, identity_map
 from revclone.gates import fanout, standard_generators, tg
 from revclone.identities import random_map
 from revclone.ops import bar_tau, oplus, select, tau
-from revclone.synth import embed, lift_temp_storage, synthesize
+from revclone.synth import embed, lift_odd, lift_temp_storage, synthesize
 
 from oracles import random_bijection, random_table_map, residue_map
 
@@ -253,6 +253,31 @@ def test_synthesis_through_the_lift_is_pinned():
     record.extend(format_netlist(synthesize(f, o=o), A3) for o in (1, 3))
     assert _digest(record) == (
         "1fbfeba8454dc93ea287dca35e3845d50d47585b9ebecaba533b6ccedcc7cb0d")
+
+
+def test_odd_small_netlists_on_wider_alphabets_are_pinned():
+    # From k = 5 on, commutators of even letter permutations are even
+    # permutations, and transpositions other than the swap are relabelled.
+    rng = random.Random(19)
+    record = []
+    for k, n in ((5, 2), (5, 3), (7, 2)):
+        f = random_bijection(rng, Alphabet(k), n)
+        record.append(format_netlist(synthesize(f, gate_policy="odd-small"),
+                                     f.alphabet))
+    assert _digest(record) == (
+        "a54cf4e87f79de49bad43d0ca96ee6f48a632e01726ebd41d5daf168d9585df4")
+
+
+def test_lift_odd_terms_on_wider_alphabets_are_pinned():
+    # A transposition other than the swap, an even permutation and an odd
+    # permutation that is no transposition.
+    record = []
+    for k in (5, 7):
+        for cycles in ([(2, 4)], [(1, 3, 5)], [(1, 2, 3, 4)]):
+            alpha = Perm.from_cycles(cycles, degree=k)
+            record.extend(print_term(lift_odd(n, alpha)) for n in (3, 4))
+    assert _digest(record) == (
+        "8e4c2f7ed679b7d2531dd9ee6c35d3a6e18c89f43159234b70e9047f1c5aaf7e")
 
 
 def test_identities_random_map_draws_are_pinned():

@@ -181,16 +181,19 @@ def letter_spec(perm: Perm) -> PermSpec:
 
 # -- term walks ---------------------------------------------------------------
 
-def _run(walk):
+def _run(walk, finished=None):
     """The value of a term walk, with a list for its stack, so terms nest
     as deep as memory allows.  A walk is a generator over one node: it
     yields each child's walk, is sent back that child's value, and returns
-    its own value."""
+    its own value.  `finished`, if given, is called with each node's value
+    as its walk returns."""
     stack, value = [], None
     while True:
         try:
             child = walk.send(value)
         except StopIteration as done:
+            if finished is not None:
+                finished(done.value)
             if not stack:
                 return done.value
             walk, value = stack.pop(), done.value
@@ -424,6 +427,15 @@ def shape_of(t: Term, shapes: Mapping[str, tuple[int, int]] | None = None
     """(arity, coarity) of a term, computed without building tables.
     Shape failures name the offending node by its path from the root."""
     return _run(_shape(t, shapes or {}, None))
+
+
+def _widest_arity(t: Term, shapes: Mapping[str, tuple[int, int]]
+                  ) -> tuple[tuple[int, int], int]:
+    """shape_of(t, shapes), and the largest arity of t's nodes: a node of
+    arity n evaluates to a table of k^n rows."""
+    arities = []
+    shape = _run(_shape(t, shapes, None), lambda s: arities.append(s[0]))
+    return shape, max(arities)
 
 
 def _fail(path, message: str, **kw) -> ShapeError:

@@ -137,10 +137,33 @@ def _cmd_eval(args) -> int:
         for path in sorted(Path(args.maps).glob("*.map")):
             bindings[path.stem] = parse_map(path.read_text())
     alphabet = Alphabet(args.alphabet) if args.alphabet is not None else None
+    _check_rows(prog, bindings, alphabet)
     result = circuit.evaluate_program(prog, bindings, alphabet)
     _emit(args, {"map": _map_report(result)},
           [format_map(result).rstrip("\n")])
     return EXIT_OK
+
+
+def _check_rows(prog: circuit.Program, bindings: dict[str, Map],
+                alphabet: Alphabet | None) -> None:
+    """Refuse, before any table is built, a program with a node of k^n
+    rows above the degree cap, in its lets or its result.  A shape error
+    ends the check: evaluation reports it, after the lets before it."""
+    if prog.alphabet is not None:
+        k = prog.alphabet
+    elif alphabet is not None:
+        k = alphabet.size
+    elif bindings:
+        k = next(iter(bindings.values())).alphabet.size
+    else:
+        return  # no alphabet: evaluation builds no table
+    shapes = {name: (m.arity, m.coarity) for name, m in bindings.items()}
+    for name, term in (*prog.lets, (None, prog.result)):
+        try:
+            shapes[name], arity = circuit._widest_arity(term, shapes)
+        except ShapeError:
+            return
+        _check_degree(k, arity)
 
 
 def _cmd_check(args) -> int:

@@ -7,13 +7,17 @@ deterministic (non-randomized) Schreier-Sims with first-moved-point base
 selection, so identical generator sequences always produce identical
 chains and witness words.
 
-Witness words are tracked symbolically during construction (cheap,
-structure-shared) and expanded only on demand; they are valid but not
-minimized, and for deep chains the expansion can be long.
+Witness words are symbolic and structure-shared.  A sift records the
+transversal words it passes, and a word is spelled from them only for a
+residue the chain keeps and for the answer of `witness`; the many sifts
+that reach the identity spell nothing.  Words are expanded only on
+demand; they are valid but not minimized, and for deep chains the
+expansion can be long.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Map, NotBijectiveError, ShapeError, _invert, \
@@ -164,7 +168,8 @@ def sign(p: TuplePerm) -> int:
 # with depth >= d, in list order.
 
 class _Level:
-    __slots__ = ("point", "transversal", "orbit", "processed")
+    __slots__ = ("point", "transversal", "orbit", "processed", "trivial",
+                 "kept")
 
     def __init__(self, point: int, ident: tuple[int, ...]):
         self.point = point
@@ -173,23 +178,36 @@ class _Level:
         self.orbit = [point]
         # (orbit point, position in the strong list) pairs already sifted
         self.processed: set[tuple[int, int]] = set()
+        # Of those pairs' Schreier generators: how many were the identity
+        # before sifting, and how many left a residue that was installed.
+        self.trivial = 0
+        self.kept = 0
 
 
-def _sift(levels: list[_Level], p: tuple[int, ...], word, start: int):
-    """Sift the image tuple p, spelled by `word`, through levels[start:].
+def _sift(levels: list[_Level], p: tuple[int, ...], start: int):
+    """Sift the image tuple p through levels[start:].
 
-    Returns (residue, word, depth): depth is the first level whose orbit
-    lacks the residue's image of its base point, or len(levels); the word
-    gains the inverse of each transversal word used, so it spells the
-    residue."""
-    for depth in range(start, len(levels)):
-        level = levels[depth]
+    Returns (residue, depth, used): depth is the first level whose orbit
+    lacks the residue's image of its base point, or len(levels); used
+    lists the transversal words whose inverses were applied, in order, for
+    _spell to spell the residue from p's word."""
+    used = []
+    for depth, level in enumerate(levels[start:], start):
         entry = level.transversal.get(p[level.point])
         if entry is None:
-            return p, word, depth
-        p = _mul(p, entry[1])
-        word = _cat(word, _inv(entry[2]))
-    return p, word, len(levels)
+            return p, depth, used
+        inverse = entry[1]
+        p = tuple([inverse[i] for i in p])
+        used.append(entry[2])
+    return p, len(levels), used
+
+
+def _spell(word, used):
+    """The word of a sift's residue: `word`, which spells the sifted
+    permutation, followed by the inverse of each transversal word used."""
+    for w in used:
+        word = _cat(word, _inv(w))
+    return word
 
 
 def _install(levels: list[_Level], strong: list, perm: tuple[int, ...],
@@ -235,34 +253,59 @@ def _complete(levels: list[_Level], strong: list, index: int) -> None:
                     continue
                 level.processed.add(key)
                 _, u2_inv, u2_word = level.transversal[gen[point]]
-                schreier = _mul(_mul(t, gen), u2_inv)
+                # The Schreier generator t * gen * u2^-1, in one pass.
+                schreier = tuple([u2_inv[gen[j]] for j in t])
                 if schreier == ident:
+                    level.trivial += 1
                     continue
-                s_word = _cat(_cat(t_word, gen_word), _inv(u2_word))
-                residue, rword, depth = _sift(levels, schreier, s_word,
-                                              index + 1)
+                residue, depth, used = _sift(levels, schreier, index + 1)
                 if residue == ident:
                     continue
-                _install(levels, strong, residue, rword, depth, index)
+                level.kept += 1
+                s_word = _cat(_cat(t_word, gen_word), _inv(u2_word))
+                _install(levels, strong, residue, _spell(s_word, used),
+                         depth, index)
                 dirty = True
         if not dirty:
             return
+
+
+@dataclass(frozen=True)
+class ChainStats:
+    """The work one stabilizer-chain build did.
+
+    ``orbit_lengths`` are the basic orbits, one per level, whose product
+    is the group order; ``strong_generators`` counts the strong
+    generating set.  ``schreier_sifted`` counts every Schreier generator
+    formed, and ``schreier_trivial`` those of them that were the identity
+    before sifting, so they skipped the sift.  ``residues_installed``
+    counts the non-identity sift residues made strong generators, from the
+    input generators and from Schreier generators alike.
+    """
+
+    levels: int
+    orbit_lengths: tuple[int, ...]
+    strong_generators: int
+    schreier_sifted: int
+    schreier_trivial: int
+    residues_installed: int
 
 
 class TupleGroup:
     """A permutation group with a stabilizer chain.
 
     Build with :meth:`build`; instances are immutable afterwards and safe
-    for concurrent queries.
+    for concurrent queries.  ``stats`` counts the work the build did.
     """
 
     def __init__(self, degree: int,
                  named_generators: list[tuple[str, TuplePerm]],
-                 levels: list[_Level]):
+                 levels: list[_Level], stats: ChainStats):
         self.degree = degree
         self.named_generators = tuple(named_generators)
         self._levels = levels
         self._ident = tuple(range(degree))
+        self.stats = stats
 
     @classmethod
     def build(cls, generators, degree: int | None = None) -> "TupleGroup":
@@ -294,11 +337,21 @@ class TupleGroup:
         ident = tuple(range(degree))
         levels: list[_Level] = []
         strong: list = []
+        installed = 0
         for index, (_, perm) in enumerate(named):
-            residue, word, depth = _sift(levels, perm.images, ("g", index), 0)
+            residue, depth, used = _sift(levels, perm.images, 0)
             if residue != ident:
-                _install(levels, strong, residue, word, depth, -1)
-        return cls(degree, named, levels)
+                installed += 1
+                _install(levels, strong, residue, _spell(("g", index), used),
+                         depth, -1)
+        stats = ChainStats(
+            levels=len(levels),
+            orbit_lengths=tuple(len(level.orbit) for level in levels),
+            strong_generators=len(strong),
+            schreier_sifted=sum(len(level.processed) for level in levels),
+            schreier_trivial=sum(level.trivial for level in levels),
+            residues_installed=installed + sum(level.kept for level in levels))
+        return cls(degree, named, levels, stats)
 
     def order(self) -> int:
         total = 1
@@ -310,13 +363,13 @@ class TupleGroup:
         return tuple(level.point for level in self._levels)
 
     def _sifted(self, p: TuplePerm):
-        """Whether p is a member, and the sifted word, which spells p^-1
-        times the residue."""
+        """Whether p is a member, and the transversal words its sift used,
+        which _spell turns into the word of p^-1 times the residue."""
         if p.degree != self.degree:
             raise ShapeError("degree mismatch", expected=self.degree,
                              actual=p.degree)
-        residue, word, _ = _sift(self._levels, p.images, _EMPTY_WORD, 0)
-        return residue == self._ident, word
+        residue, _, used = _sift(self._levels, p.images, 0)
+        return residue == self._ident, used
 
     def contains(self, p: TuplePerm) -> bool:
         return self._sifted(p)[0]
@@ -328,7 +381,7 @@ class TupleGroup:
         come from the chain transversals and are valid but not minimized;
         one longer than MAX_WITNESS_LEN raises WitnessOverflow.
         """
-        member, word = self._sifted(p)
+        member, used = self._sifted(p)
         if not member:
             return None
         if p.images == self._ident:
@@ -336,7 +389,7 @@ class TupleGroup:
         for index, (_, gen) in enumerate(self.named_generators):
             if gen == p:
                 return (index + 1,)
-        return _expand_word(_inv(word))
+        return _expand_word(_inv(_spell(_EMPTY_WORD, used)))
 
     def _generator(self, index: int) -> tuple[str, TuplePerm]:
         """The named generator a signed 1-based word index refers to."""

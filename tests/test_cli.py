@@ -1,6 +1,9 @@
 import io
 import json
 
+import pytest
+
+from revclone import circuit
 from revclone.cli import main
 from revclone.core import (Alphabet, Map, Perm, format_map, identity_map,
                            parse_map)
@@ -128,6 +131,41 @@ def test_eval_names_the_node_of_a_malformed_literal(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("error: at .oplus[1]: cycle point out of range: "
                    "expected 1..1, got 0\n")
+
+
+@pytest.mark.parametrize("text,flags,degree", [
+    # 3^13 = 1,594,323 rows for the id node alone
+    ("(alphabet 3)\n(tau (id 13))\n", [], "1594323 = 3^13"),
+    ("(alphabet 2)\n(let W (id 18))\n(id 1)\n", [], "262144 = 2^18"),
+    ("(delta (id 13))\n", ["--alphabet", "3"], "1594323 = 3^13"),
+    ("(oplus G (id 12))\n", ["--maps", "{maps}"], "1594323 = 3^13"),
+], ids=["result", "let", "alphabet-flag", "alphabet-of-bindings"])
+def test_eval_refuses_a_node_above_the_degree_cap(tmp_path, capsys,
+                                                   monkeypatch, text, flags,
+                                                   degree):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(circuit, "_literal", no_table)
+    write_map(tmp_path, "G.map", tg(1, Perm.from_cycles([(1, 2)], degree=3),
+                                    1))
+    circ = tmp_path / "wide.circ"
+    circ.write_text(text)
+    argv = [flag.format(maps=tmp_path) for flag in flags]
+    code, out, err = run(capsys, "eval", str(circ), *argv)
+    assert (code, out) == (3, "")
+    assert err == f"overflow: degree {degree} exceeds the cap 200000\n"
+
+
+def test_eval_of_an_eleven_wire_term_under_the_cap(tmp_path, capsys):
+    # 3^11 = 177,147 rows; one more wire would be over the cap
+    circ = tmp_path / "wide.circ"
+    circ.write_text("(alphabet 3)\n(tau (id 11))\n")
+    code, out, err = run(capsys, "eval", str(circ))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:3] == ["alphabet 3", "arity 11", "coarity 11"]
+    assert len(lines) == 3 + 3 ** 11
 
 
 def test_lift_odd_eval_pipe_is_byte_exact(tmp_path, capsys):

@@ -232,6 +232,46 @@ def test_random_element_is_in_group():
         assert group.contains(group.random_element(sampler))
 
 
+def test_chain_stats_count_the_build():
+    rng = random.Random(12)
+    groups = [TupleGroup.build([], degree=4),
+              TupleGroup.build([TuplePerm.identity(5)]),
+              slice_group(builtin_generators("std4", A2), 3, A2)]
+    groups += [TupleGroup.build([random_tuple_perm(rng, 9)
+                                 for _ in range(rng.randint(1, 3))])
+               for _ in range(10)]
+    for group in groups:
+        stats = group.stats
+        assert stats.levels == len(stats.orbit_lengths) == len(group.base())
+        assert math.prod(stats.orbit_lengths) == group.order()
+        # strong.append runs only where a residue is installed
+        assert stats.strong_generators == stats.residues_installed
+        assert stats.schreier_trivial <= stats.schreier_sifted
+    group = slice_group(builtin_generators("std4", A3), 2, A3)
+    assert group.stats == group_module.ChainStats(
+        levels=8, orbit_lengths=(9, 8, 7, 6, 5, 4, 3, 2),
+        strong_generators=16, schreier_sifted=453, schreier_trivial=88,
+        residues_installed=16)
+
+
+def test_build_spells_words_only_for_kept_residues(monkeypatch):
+    # Almost every Schreier generator sifts to the identity; spelling its
+    # word level by level made 240,944 _cat calls on this slice, where the
+    # 351 transversal words and the 55 kept residues' words take 627.
+    calls = 0
+    cat = group_module._cat
+
+    def counting_cat(a, b):
+        nonlocal calls
+        calls += 1
+        return cat(a, b)
+
+    monkeypatch.setattr(group_module, "_cat", counting_cat)
+    group = slice_group(builtin_generators("std4", A3), 3, A3)
+    assert group.order() == math.factorial(27)
+    assert calls < 5_000
+
+
 def test_degree_mismatch_errors():
     group = TupleGroup.build([TuplePerm((1, 0, 2))])
     with pytest.raises(ShapeError):

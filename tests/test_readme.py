@@ -1,6 +1,7 @@
 """The README's library tour runs as written and gives the values its
 comments state."""
 
+import math
 import re
 from pathlib import Path
 
@@ -19,6 +20,7 @@ def test_library_tour_runs_and_matches_its_comments():
     f = scope["f"]
     assert is_bijective(f) and is_balanced(f)
     assert scope["group"].order() == 362880
+    assert math.prod(scope["group"].stats.orbit_lengths) == 362880
     assert scope["group"].contains(from_map(f))
     assert scope["sat"].stats.stop == "closed"
     lift = scope["lift"]

@@ -76,27 +76,48 @@ class PiLit(Term):
     perm: PermSpec
 
 
-@dataclass(frozen=True)
-class Oplus(Term):
+class _Composite(Term):
+    """Base class for nodes with children.  Their repr is built by _run
+    instead of recursing, and == and hash compare it, so they work on
+    terms of any depth; leaf nodes keep the generated dataclass methods."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return repr(self) == repr(other)
+
+    def __hash__(self) -> int:
+        return hash(repr(self))
+
+    def __repr__(self) -> str:
+        return "".join(_run(_repr(self, [])))
+
+
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
+class Oplus(_Composite):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Comp(Term):
+@_node
+class Comp(_Composite):
     k: int
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Bullet(Term):
+@_node
+class Bullet(_Composite):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Unary(Term):
+@_node
+class Unary(_Composite):
     """A one-child operator node; _UNARY describes each kind."""
     child: Term
 
@@ -125,14 +146,14 @@ class Nabla(Unary):
     """(nabla T): add a dummy first input."""
 
 
-@dataclass(frozen=True)
-class Sel(Term):
+@_node
+class Sel(_Composite):
     indices: tuple[int, ...]
     child: Term
 
 
-@dataclass(frozen=True)
-class Ins(Term):
+@_node
+class Ins(_Composite):
     items: tuple[tuple[int, int], ...]
     child: Term
 
@@ -200,6 +221,21 @@ def _run(walk, finished=None):
         else:
             stack.append(walk)
             walk, value = child, None
+
+
+def _repr(t: _Composite, out: list[str]):
+    """Walk (see _run) that appends the dataclass-style repr of t to out
+    and returns out."""
+    out.append(type(t).__qualname__ + "(")
+    for i, name in enumerate(t.__dataclass_fields__):
+        value = getattr(t, name)
+        out.append(f"{', ' if i else ''}{name}=")
+        if isinstance(value, _Composite):
+            yield _repr(value, out)
+        else:
+            out.append(repr(value))
+    out.append(")")
+    return out
 
 
 # -- parsing ----------------------------------------------------------------
@@ -728,8 +764,8 @@ def _fold_applied(factors: Sequence[Term]) -> Term:
     """Bullet of factors given in application order, the later half on
     the left, because bullet applies its right argument first.  Bullet is
     associative, so the tree is balanced: printed lift-odd terms keep
-    their text, and the dataclass ==, hash and repr, which recurse, see a
-    depth that grows with the logarithm of the factor count."""
+    their text, and the depth grows with the logarithm of the factor
+    count."""
     if len(factors) == 1:
         return factors[0]
     half = len(factors) // 2

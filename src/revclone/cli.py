@@ -10,6 +10,7 @@ mirror of its report.
 from __future__ import annotations
 
 import argparse
+import decimal
 import itertools
 import json
 import math
@@ -114,6 +115,14 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
+def _digits(n: int) -> str:
+    """The decimal text of n at any length.  str() refuses an int of more
+    digits than sys.get_int_max_str_digits() (4,300 by default, passed by
+    the order at degree 1,559); Decimal has no such limit, and the limit
+    stays in force for int() on input text."""
+    return str(decimal.Decimal(n))
+
+
 def _emit(args, report: dict, lines: list[str]) -> None:
     if args.json:
         print(json.dumps(report, sort_keys=True))
@@ -189,8 +198,8 @@ def _cmd_closure_order(args) -> int:
     _check_degree(alphabet.size, args.arity)
     gens = _resolve_generators(args.gen, alphabet)
     slice_ = closure.slice_group(gens, args.arity, alphabet)
-    order = slice_.order()
-    _emit(args, {"order": str(order), "degree": slice_.degree}, [str(order)])
+    order = _digits(slice_.order())
+    _emit(args, {"order": order, "degree": slice_.degree}, [order])
     return EXIT_OK
 
 
@@ -293,6 +302,7 @@ def _cmd_scan_conjectures(args) -> int:
     alphabet = Alphabet(k)
     degree = _check_degree(k, n)
     full = math.factorial(degree)
+    full_text = _digits(full)
     lines = []
     report: dict = {"degree": degree}
 
@@ -301,20 +311,23 @@ def _cmd_scan_conjectures(args) -> int:
                   (f"tg{n}-cycle", gates.tg(n, cycle, 1))]
     order1 = closure.slice_group(cycle_gens, n, alphabet).order()
     full_match = order1 == full
-    lines.append(f"cycle-only generators at arity {n}: order {order1} "
-                 f"of {full} ({'equals' if full_match else 'strictly less than'} "
+    order1_text = _digits(order1)
+    lines.append(f"cycle-only generators at arity {n}: order {order1_text} "
+                 f"of {full_text} "
+                 f"({'equals' if full_match else 'strictly less than'} "
                  f"the full symmetric order at this size)")
-    report["cycle_only"] = {"order": str(order1), "full": str(full),
+    report["cycle_only"] = {"order": order1_text, "full": full_text,
                             "matches_full": full_match}
 
     family = builtin_generators(f"tg-family-lt{n}-allo", alphabet)
     order2 = closure.slice_group(family, n, alphabet).order()
     alt = max(full // 2, 1)  # |A_1| = 1
     alt_match = order2 == alt
+    order2_text, alt_text = _digits(order2), _digits(alt)
     lines.append(f"all gates below arity {n}, every control letter: order "
-                 f"{order2}; alternating-group order is {alt} "
+                 f"{order2_text}; alternating-group order is {alt_text} "
                  f"({'matches' if alt_match else 'differs'} at this size)")
-    report["below_family"] = {"order": str(order2), "alternating": str(alt),
+    report["below_family"] = {"order": order2_text, "alternating": alt_text,
                               "matches_alternating": alt_match}
     _emit(args, report, lines)
     return EXIT_OK

@@ -161,27 +161,27 @@ def sign(p: TuplePerm) -> int:
 
 # -- the stabilizer chain ------------------------------------------------------
 #
-# A chain is two plain values built side by side: `levels`, one _Level per
-# base point, and `strong`, every strong generator as (depth, images, word)
-# in discovery order, where depth is the level it was found at, so it fixes
-# the first depth base points.  The generators of level d are the entries
-# with depth >= d, in list order.
+# A chain is a list of _Level, one per base point.  A strong generator
+# found at depth d fixes the first d base points and is a generator of
+# levels 0..d, so it is appended to the `gens` of each, in discovery order.
+# Orbits and generator lists only grow, so the pairs a level has scanned
+# and sifted form a rectangle, `done`: its first done[0] orbit points
+# against its first done[1] generators.
 
 class _Level:
-    __slots__ = ("point", "transversal", "orbit", "processed", "trivial",
-                 "kept")
+    __slots__ = ("point", "transversal", "orbit", "gens", "done", "trivial")
 
     def __init__(self, point: int, ident: tuple[int, ...]):
         self.point = point
         # transversal: point -> (images, inverse, word); base maps to id
         self.transversal = {point: (ident, ident, _EMPTY_WORD)}
         self.orbit = [point]
-        # (orbit point, position in the strong list) pairs already sifted
-        self.processed: set[tuple[int, int]] = set()
-        # Of those pairs' Schreier generators: how many were the identity
-        # before sifting, and how many left a residue that was installed.
+        # (images, word) of each strong generator found here or deeper
+        self.gens: list[tuple[tuple[int, ...], tuple]] = []
+        # (orbit points, generators) whose pairs are scanned and sifted
+        self.done = (0, 0)
+        # Schreier generators that were the identity before sifting
         self.trivial = 0
-        self.kept = 0
 
 
 def _sift(levels: list[_Level], p: tuple[int, ...], start: int):
@@ -210,49 +210,47 @@ def _spell(word, used):
     return word
 
 
-def _install(levels: list[_Level], strong: list, perm: tuple[int, ...],
-             word, depth: int, stop: int) -> None:
+def _install(levels: list[_Level], perm: tuple[int, ...], word, depth: int,
+             stop: int) -> None:
     """Record a strong generator that fixes the first `depth` base points,
     then restore completeness at levels depth, depth - 1, ... down to, but
     not including, level `stop`."""
     if depth == len(levels):
         base = next(i for i, j in enumerate(perm) if i != j)
         levels.append(_Level(base, tuple(range(len(perm)))))
-    strong.append((depth, perm, word))
+    gen = (perm, word)
+    for level in levels[:depth + 1]:
+        level.gens.append(gen)
     for d in range(depth, stop, -1):
-        _complete(levels, strong, d)
+        _complete(levels, d)
 
 
-def _complete(levels: list[_Level], strong: list, index: int) -> None:
+def _complete(levels: list[_Level], index: int) -> None:
     """Extend the orbit at `index` and process its Schreier generators
-    until every (orbit point, strong generator) pair sifts to the identity
+    until every (orbit point, generator) pair sifts to the identity
     through the deeper chain.  Assumes deeper levels are complete on
     entry."""
     level = levels[index]
-    ident = level.transversal[level.point][0]
+    transversal, orbit = level.transversal, level.orbit
+    ident = transversal[level.point][0]
     while True:
-        gens = [(i, gen, gen_word)
-                for i, (depth, gen, gen_word) in enumerate(strong)
-                if depth >= index]
+        # Generators installed during the pass wait for the next one.
+        count = len(level.gens)
+        points, seen = level.done
         # The orbit grows while it is scanned, so new points are scanned too.
-        for point in level.orbit:
-            t, _, t_word = level.transversal[point]
-            for _, gen, gen_word in gens:
+        for i, point in enumerate(orbit):
+            t, _, t_word = transversal[point]
+            for gen, gen_word in level.gens[seen if i < points else 0:count]:
                 image = gen[point]
-                if image not in level.transversal:
+                if image not in transversal:
                     perm = _mul(t, gen)
-                    level.transversal[image] = (perm, _invert(perm),
-                                                _cat(t_word, gen_word))
-                    level.orbit.append(image)
-        dirty = False
-        for point in list(level.orbit):
-            t, _, t_word = level.transversal[point]
-            for i, gen, gen_word in gens:
-                key = (point, i)
-                if key in level.processed:
-                    continue
-                level.processed.add(key)
-                _, u2_inv, u2_word = level.transversal[gen[point]]
+                    transversal[image] = (perm, _invert(perm),
+                                          _cat(t_word, gen_word))
+                    orbit.append(image)
+        for i, point in enumerate(orbit):
+            t, _, t_word = transversal[point]
+            for gen, gen_word in level.gens[seen if i < points else 0:count]:
+                _, u2_inv, u2_word = transversal[gen[point]]
                 # The Schreier generator t * gen * u2^-1, in one pass.
                 schreier = tuple([u2_inv[gen[j]] for j in t])
                 if schreier == ident:
@@ -261,12 +259,10 @@ def _complete(levels: list[_Level], strong: list, index: int) -> None:
                 residue, depth, used = _sift(levels, schreier, index + 1)
                 if residue == ident:
                     continue
-                level.kept += 1
                 s_word = _cat(_cat(t_word, gen_word), _inv(u2_word))
-                _install(levels, strong, residue, _spell(s_word, used),
-                         depth, index)
-                dirty = True
-        if not dirty:
+                _install(levels, residue, _spell(s_word, used), depth, index)
+        level.done = (len(orbit), count)
+        if len(level.gens) == count:
             return
 
 
@@ -280,7 +276,8 @@ class ChainStats:
     formed, and ``schreier_trivial`` those of them that were the identity
     before sifting, so they skipped the sift.  ``residues_installed``
     counts the non-identity sift residues made strong generators, from the
-    input generators and from Schreier generators alike.
+    input generators and from Schreier generators alike; each becomes
+    exactly one strong generator, so it equals ``strong_generators``.
     """
 
     levels: int
@@ -336,21 +333,21 @@ class TupleGroup:
             raise ShapeError("degree required for an empty generator list")
         ident = tuple(range(degree))
         levels: list[_Level] = []
-        strong: list = []
-        installed = 0
         for index, (_, perm) in enumerate(named):
             residue, depth, used = _sift(levels, perm.images, 0)
             if residue != ident:
-                installed += 1
-                _install(levels, strong, residue, _spell(("g", index), used),
+                _install(levels, residue, _spell(("g", index), used),
                          depth, -1)
+        # Every installed residue is a strong generator of level 0.
+        strong = len(levels[0].gens) if levels else 0
         stats = ChainStats(
             levels=len(levels),
             orbit_lengths=tuple(len(level.orbit) for level in levels),
-            strong_generators=len(strong),
-            schreier_sifted=sum(len(level.processed) for level in levels),
+            strong_generators=strong,
+            schreier_sifted=sum(level.done[0] * level.done[1]
+                                for level in levels),
             schreier_trivial=sum(level.trivial for level in levels),
-            residues_installed=installed + sum(level.kept for level in levels))
+            residues_installed=strong)
         return cls(degree, named, levels, stats)
 
     def order(self) -> int:

@@ -206,9 +206,25 @@ def test_roundtrip_covers_comp():
     assert parse(print_term(t)) == t
 
 
-# Twenty times Python's default recursion limit.  Term ==, hash and repr
-# still recurse, so these tests compare text, shapes and maps, never terms.
+# Twenty times Python's default recursion limit.
 DEEP = 20_000
+
+
+def test_deep_terms_compare_hash_and_print():
+    # Composite nodes build their repr on an explicit stack; == and hash
+    # compare it.
+    depth = 100_000
+
+    def nested(zeta_at=None):
+        t = IdLit(2)
+        for i in range(depth):
+            t = Zeta(t) if i == zeta_at else Tau(t)
+        return t
+
+    t, copy = nested(), nested()
+    assert copy is not t and copy == t and hash(copy) == hash(t)
+    assert nested(zeta_at=depth // 2) != t
+    assert repr(t) == "Tau(child=" * depth + "IdLit(n=2)" + ")" * depth
 
 
 def test_deep_term_round_trips_as_text():

@@ -1,9 +1,11 @@
 import io
 import json
+import math
+import sys
 
 import pytest
 
-from revclone import circuit
+from revclone import circuit, closure
 from revclone.cli import main
 from revclone.core import (Alphabet, Map, Perm, format_map, identity_map,
                            parse_map)
@@ -38,6 +40,59 @@ def test_closure_order_json(capsys):
                        "--arity", "2", "--gen", "tg1-swap", "--json")
     assert code == 0
     assert json.loads(out) == {"degree": 4, "order": "8"}
+
+
+class _StubGroup:
+    """Stands in for a slice group whose order is too long for str()."""
+    degree = 4
+
+    def __init__(self, order):
+        self._order = order
+
+    def order(self):
+        return self._order
+
+
+def _all_digits(n):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_closure_order_prints_every_digit(capsys, monkeypatch, flags):
+    order = math.factorial(1600)  # 4,434 digits
+    monkeypatch.setattr(closure, "slice_group",
+                        lambda gens, n, alphabet: _StubGroup(order))
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "closure-order", "--alphabet", "2",
+                       "--arity", "2", "--gen", "tg1-swap", *flags)
+    assert code == 0
+    if flags:
+        assert json.loads(out) == {"degree": 4, "order": _all_digits(order)}
+    else:
+        assert out == _all_digits(order) + "\n"
+    # the limit still guards reading long numbers
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        int("1" * (limit + 1))
+
+
+def test_scan_conjectures_prints_orders_past_the_digit_limit(capsys,
+                                                             monkeypatch):
+    full = math.factorial(2048)
+    monkeypatch.setattr(closure, "slice_group",
+                        lambda gens, n, alphabet: _StubGroup(full))
+    code, out, _ = run(capsys, "scan-conjectures", "--alphabet", "2",
+                       "--n", "11")
+    assert code == 0
+    digits = _all_digits(full)
+    assert (f"order {digits} of {digits} (equals the full symmetric order"
+            in out)
+    assert f"alternating-group order is {_all_digits(full // 2)}" in out
 
 
 def test_member_excluded_by_parity(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import functools
+import gc
 import hashlib
 import itertools
 import math
 import operator
 import random
+import tracemalloc
 
 import pytest
 
@@ -244,7 +246,7 @@ def test_chain_stats_count_the_build():
         stats = group.stats
         assert stats.levels == len(stats.orbit_lengths) == len(group.base())
         assert math.prod(stats.orbit_lengths) == group.order()
-        # strong.append runs only where a residue is installed
+        # every install adds exactly one strong generator
         assert stats.strong_generators == stats.residues_installed
         assert stats.schreier_trivial <= stats.schreier_sifted
     group = slice_group(builtin_generators("std4", A3), 2, A3)
@@ -252,6 +254,32 @@ def test_chain_stats_count_the_build():
         levels=8, orbit_lengths=(9, 8, 7, 6, 5, 4, 3, 2),
         strong_generators=16, schreier_sifted=453, schreier_trivial=88,
         residues_installed=16)
+    # Each level sifts the pairs of its orbit and its generators once.
+    s27 = tuple(range(27, 1, -1))
+    for name, strong, sifted, trivial in [("std4", 55, 12_985, 798),
+                                          ("tg-family-lt3", 61, 14_489, 727)]:
+        group = slice_group(builtin_generators(name, A3), 3, A3)
+        assert group.stats == group_module.ChainStats(
+            levels=26, orbit_lengths=s27, strong_generators=strong,
+            schreier_sifted=sifted, schreier_trivial=trivial,
+            residues_installed=strong)
+
+
+def test_built_chain_retains_little_memory():
+    # A level keeps its transversal, its generators and two counts; the
+    # 12,985 sifted pairs of this build leave nothing behind.
+    named = slice_group(builtin_generators("std4", A3), 3, A3).named_generators
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = TupleGroup.build(named)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert group.order() == math.factorial(27)
+    assert retained < 500_000
 
 
 def test_build_spells_words_only_for_kept_residues(monkeypatch):
